@@ -456,8 +456,8 @@ func runEngine(cfg nids.Config, pcapPath string, opts engineOpts) int {
 		}
 		if opts.exportDir != "" {
 			sm := e.SinkStats()
-			fmt.Printf("sink: checkpoints=%d rotations=%d dropped=%d errors=%d\n",
-				sm.Checkpoints, sm.Rotations, sm.Dropped, sm.Errors)
+			fmt.Printf("sink: checkpoints=%d rotations=%d dropped=%d errors=%d records-encoded=%d records-reused=%d\n",
+				sm.Checkpoints, sm.Rotations, sm.Dropped, sm.Errors, sm.RecordsEncoded, sm.RecordsReused)
 			if len(opts.pushURLs) > 0 {
 				p := sm.Push
 				fmt.Printf("push: pushed=%d acked=%d retried=%d rejected=%d dropped=%d spooled=%d backoff=%s\n",

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"semnids/internal/engine"
+	"semnids/internal/fed"
 	"semnids/internal/netpkt"
 	"semnids/internal/report"
 	"semnids/internal/traffic"
@@ -251,5 +252,55 @@ func TestFederationImportSeedsLiveEngine(t *testing.T) {
 	second.Stop()
 	if got := renderIncidents(t, second); got != want {
 		t.Errorf("seeded engine's report diverged from the uninterrupted run:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestEngineCheckpointMatchesExport holds the engine's incremental
+// sink to its full export: after every chunk of a polymorphic
+// outbreak (correlator, classifier and lineage evidence all growing),
+// the newest committed checkpoint must carry exactly the evidence
+// ExportIncidents writes at the same instant.
+func TestEngineCheckpointMatchesExport(t *testing.T) {
+	dir := t.TempDir()
+	e, err := NewEngine(EngineConfig{
+		Config: Config{
+			Honeypots: []string{traffic.HoneypotAddr.String()},
+			DarkSpace: []string{traffic.DarkNet.String()},
+		},
+		Shards:            2,
+		Correlate:         true,
+		Lineage:           true,
+		SensorID:          "sensor-a",
+		IncidentExportDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	pkts := traffic.PolymorphOutbreak(traffic.PolymorphSpec{Seed: 7, Generations: 2, FanoutPerHost: 2})
+	const chunks = 6
+	for i := 0; i < chunks; i++ {
+		feed(e, pkts[i*len(pkts)/chunks:(i+1)*len(pkts)/chunks])
+		e.Drain()
+		if err := e.CheckpointIncidents(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := fed.Recover(dir)
+		if err != nil || rec == nil {
+			t.Fatalf("chunk %d: recover: %v", i, err)
+		}
+		var got, want bytes.Buffer
+		if err := WriteEvidence(&got, rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ExportIncidents(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("chunk %d: checkpoint differs from ExportIncidents\ngot:\n%s\nwant:\n%s", i, got.Bytes(), want.Bytes())
+		}
+	}
+	if m := e.SinkStats(); m.RecordsReused == 0 {
+		t.Fatalf("no record reused across %d checkpoints: %+v", chunks, m.SinkMetrics)
 	}
 }

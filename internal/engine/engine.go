@@ -24,9 +24,12 @@
 package engine
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -531,14 +534,30 @@ func (e *Engine) Stop() {
 	})
 }
 
-// Alerts returns all alerts recorded so far (arrival order; complete
-// for a trace after Drain or Stop).
+// Alerts returns all alerts recorded so far (complete for a trace
+// after Drain or Stop) in canonical order — timestamp, 5-tuple,
+// template, frame source — so the result is the same whatever the
+// shard count and scheduling that produced it.
 func (e *Engine) Alerts() []core.Alert {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]core.Alert, len(e.alerts))
-	copy(out, e.alerts)
+	out := slices.Clone(e.alerts)
+	e.mu.Unlock()
+	slices.SortStableFunc(out, compareAlerts)
 	return out
+}
+
+// compareAlerts is the canonical alert order. Within one trace a flow
+// alerts at most once per template, so the order is total.
+func compareAlerts(a, b core.Alert) int {
+	return cmp.Or(
+		cmp.Compare(a.TimestampUS, b.TimestampUS),
+		a.Src.Compare(b.Src),
+		cmp.Compare(a.SrcPort, b.SrcPort),
+		a.Dst.Compare(b.Dst),
+		cmp.Compare(a.DstPort, b.DstPort),
+		strings.Compare(a.Detection.Template, b.Detection.Template),
+		strings.Compare(a.FrameSource, b.FrameSource),
+	)
 }
 
 // Snapshot returns current counters and gauges.

@@ -146,7 +146,6 @@ func (s *shard) run() {
 	for msg := range s.in {
 		if msg.ctl != nil {
 			s.flushFlows()
-			msg.ctl.wg.Done()
 		} else {
 			for i := range msg.batch.entries {
 				en := &msg.batch.entries[i]
@@ -166,6 +165,11 @@ func (s *shard) run() {
 		s.bytes.Store(int64(s.asm.TotalBytes()))
 		s.dgramFlows.Store(int64(s.asm.DgramFlowCount()))
 		s.dgramBytes.Store(int64(s.asm.DgramBytes()))
+		// Release a drain barrier only after the gauges describe the
+		// flushed state, so a Snapshot taken as Drain returns reads it.
+		if msg.ctl != nil {
+			msg.ctl.wg.Done()
+		}
 	}
 	// Queue closed (Stop): analyze what remains before exiting.
 	s.flushFlows()

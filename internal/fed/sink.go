@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,8 +30,18 @@ type SinkConfig struct {
 	Dir string
 
 	// Export snapshots the correlator's evidence; called from the sink
-	// goroutine only. A nil return skips the checkpoint.
+	// goroutine only. A nil return skips the checkpoint. Every record
+	// it returns is encoded afresh at each checkpoint.
 	Export func() *incident.EvidenceExport
+
+	// ExportSince, when set, is used instead of Export: the incremental
+	// snapshot of incident.Correlator.ExportSince, where Sources holds
+	// only the records changed since generation gen and live lists
+	// every source the checkpoint covers, in address order. The sink
+	// caches each source's framed record and re-encodes only the
+	// changed ones, so a checkpoint costs what changed, not what is
+	// tracked, and still writes a full snapshot's bytes.
+	ExportSince func(gen uint64) (ex *incident.EvidenceExport, live []netip.Addr, next uint64)
 
 	// RotateBytes rotates to a new segment once the current one grows
 	// past this size (default 1 MiB).
@@ -124,6 +135,13 @@ type SinkMetrics struct {
 	// by normal retention pruning). Shedding never touches the newest
 	// committed segment or the one being written.
 	Shed uint64
+
+	// RecordsEncoded counts source records framed afresh for a
+	// checkpoint; RecordsReused counts source records written from the
+	// frame cache because their evidence had not changed since the
+	// previous checkpoint. Reused/(encoded+reused) is the share of the
+	// evidence table a checkpoint did not have to re-encode.
+	RecordsEncoded, RecordsReused uint64
 }
 
 // Sink persists correlator evidence to size/age-rotated segment
@@ -143,11 +161,20 @@ type Sink struct {
 	m struct {
 		checkpoints, rotations, dropped, errors atomic.Uint64
 		writeErrors, shed                       atomic.Uint64
+		encoded, reused                         atomic.Uint64
 	}
 
 	// fsyncNS times one checkpoint's frame+flush+fsync — the sink
 	// goroutine's write cost and the latency floor of a durable ack.
 	fsyncNS *telemetry.Histogram
+
+	// Frame cache, sink goroutine only: the framed "src" record of
+	// every source in the previous snapshot, in address order, current
+	// as of ExportSince cursor gen; spare is the other half of the
+	// double buffer the next snapshot is merged into.
+	frames, spare []srcFrame
+	gen           uint64
+	enc           frameEncoder
 
 	// Writer state, sink goroutine only.
 	f        segmentFile
@@ -175,8 +202,11 @@ func OpenSink(cfg SinkConfig) (*Sink, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("fed: sink needs a directory")
 	}
-	if cfg.Export == nil {
+	if cfg.Export == nil && cfg.ExportSince == nil {
 		return nil, fmt.Errorf("fed: sink needs an Export snapshot function")
+	}
+	if cfg.ExportSince == nil {
+		cfg.ExportSince = exportAll(cfg.Export)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -214,6 +244,8 @@ func (s *Sink) registerTelemetry() {
 	reg.CounterFunc("semnids_sink_errors_total", "Failed checkpoint writes (retried on the next trigger).", s.m.errors.Load)
 	reg.CounterFunc("semnids_sink_write_errors_total", "Segment write/rotate failures at the I/O layer (ENOSPC); the sink sheds old segments and keeps running.", s.m.writeErrors.Load)
 	reg.CounterFunc("semnids_sink_shed_total", "Segments deleted by disk-exhaustion shedding.", s.m.shed.Load)
+	reg.CounterFunc("semnids_sink_records_encoded_total", "Source records framed afresh for a checkpoint.", s.m.encoded.Load)
+	reg.CounterFunc("semnids_sink_records_reused_total", "Source records written from the frame cache (evidence unchanged since the previous checkpoint).", s.m.reused.Load)
 	s.fsyncNS = reg.Histogram("semnids_sink_checkpoint_fsync_ns",
 		"One checkpoint written durably: frame, flush and fsync.")
 }
@@ -283,6 +315,9 @@ func (s *Sink) Metrics() SinkMetrics {
 		Errors:      s.m.errors.Load(),
 		WriteErrors: s.m.writeErrors.Load(),
 		Shed:        s.m.shed.Load(),
+
+		RecordsEncoded: s.m.encoded.Load(),
+		RecordsReused:  s.m.reused.Load(),
 	}
 }
 
@@ -319,10 +354,17 @@ func (s *Sink) run() {
 // checkpoint snapshots the evidence and appends one committed group,
 // rotating first when the current segment is over size or age.
 func (s *Sink) checkpoint() error {
-	ex := s.cfg.Export()
+	ex, live, next := s.cfg.ExportSince(s.gen)
 	if ex == nil {
 		return nil
 	}
+	if err := s.refresh(ex.Sources, live); err != nil {
+		// Start the cache over: the next checkpoint encodes everything.
+		s.frames, s.spare, s.gen = nil, nil, 0
+		s.m.errors.Add(1)
+		return err
+	}
+	s.gen = next
 	if s.f == nil || s.size >= s.cfg.RotateBytes || time.Since(s.openedAt) >= s.cfg.RotateEvery {
 		if err := s.rotate(ex); err != nil {
 			s.m.errors.Add(1)
@@ -370,7 +412,7 @@ func (s *Sink) rotate(ex *incident.EvidenceExport) error {
 	s.segIndex++
 	s.m.rotations.Add(1)
 	if err := s.writeFrames(func(bw *bufio.Writer) error {
-		return writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: headerFor(ex)})
+		return s.enc.write(bw, &wireRecord{Kind: kindHeader, Hdr: headerFor(ex)})
 	}); err != nil {
 		s.closeSegment()
 		return err
@@ -383,12 +425,83 @@ func (s *Sink) rotate(ex *incident.EvidenceExport) error {
 func (s *Sink) append(ex *incident.EvidenceExport) error {
 	t0 := time.Now()
 	err := s.writeFrames(func(bw *bufio.Writer) error {
-		return writeCheckpoint(bw, s.seq, ex)
+		return writeCheckpoint(bw, &s.enc, s.seq, ex, len(s.frames), func(bw *bufio.Writer) error {
+			for _, f := range s.frames {
+				if _, err := bw.Write(f.b); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	})
 	if err == nil {
 		s.fsyncNS.Observe(time.Since(t0).Nanoseconds())
 	}
 	return err
+}
+
+// srcFrame is one cached framed "src" record.
+type srcFrame struct {
+	addr netip.Addr
+	b    []byte
+}
+
+// exportAll adapts a full-snapshot Export to the checkpoint path:
+// the cursor never advances, so every record counts as changed.
+func exportAll(export func() *incident.EvidenceExport) func(uint64) (*incident.EvidenceExport, []netip.Addr, uint64) {
+	return func(uint64) (*incident.EvidenceExport, []netip.Addr, uint64) {
+		ex := export()
+		if ex == nil {
+			return nil, nil, 0
+		}
+		live := make([]netip.Addr, len(ex.Sources))
+		for i := range ex.Sources {
+			live[i] = ex.Sources[i].Src
+		}
+		return ex, live, 0
+	}
+}
+
+// refresh brings the frame cache to the snapshot: one merge over the
+// live set (address order) that re-encodes each changed record into
+// its address's old buffer, keeps the frames of unchanged sources,
+// and drops the frames of sources no longer live. changed must be in
+// live order, and every live source must be either changed or
+// cached — a cursor the snapshot honors guarantees both.
+func (s *Sink) refresh(changed []incident.SourceEvidence, live []netip.Addr) error {
+	old, out := s.frames, s.spare[:0]
+	var encoded, reused uint64
+	for _, a := range live {
+		for len(old) > 0 && old[0].addr.Less(a) {
+			old = old[1:]
+		}
+		var b []byte
+		if len(old) > 0 && old[0].addr == a {
+			b, old = old[0].b, old[1:]
+		}
+		switch {
+		case len(changed) > 0 && changed[0].Src == a:
+			var err error
+			if b, err = s.enc.appendFrame(b[:0], &wireRecord{Kind: kindSource, Src: &changed[0]}); err != nil {
+				return err
+			}
+			changed = changed[1:]
+			encoded++
+		case b != nil:
+			reused++
+		default:
+			return fmt.Errorf("fed: live source %v has neither a changed nor a cached record", a)
+		}
+		out = append(out, srcFrame{addr: a, b: b})
+	}
+	if len(changed) > 0 {
+		return fmt.Errorf("fed: changed source %v is not in the live set", changed[0].Src)
+	}
+	clear(s.frames)
+	s.frames, s.spare = out, s.frames[:0]
+	s.m.encoded.Add(encoded)
+	s.m.reused.Add(reused)
+	return nil
 }
 
 // writeFrames runs one framed write against the current segment,

@@ -24,10 +24,12 @@ package fed
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"semnids/internal/incident"
 	"semnids/internal/lineage"
@@ -98,22 +100,45 @@ type wireRecord struct {
 // complete write.
 var ErrNoCheckpoint = errors.New("fed: segment has no committed checkpoint")
 
-// writeRecord frames one record.
-func writeRecord(w *bufio.Writer, rec *wireRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
+// frameEncoder frames records into reusable buffers. It is the one
+// framing implementation: WriteExport and the sink (headers, marks and
+// its per-source frame cache) all go through it, so a cached frame is
+// byte for byte what a fresh encode writes.
+type frameEncoder struct {
+	json bytes.Buffer
+	enc  *json.Encoder
+	out  []byte
+}
+
+// appendFrame appends rec's frame — "<len> <json>\n" — to dst.
+// json.Encoder writes exactly json.Marshal's bytes (HTML escaping on)
+// plus the newline the frame ends with.
+func (fe *frameEncoder) appendFrame(dst []byte, rec *wireRecord) ([]byte, error) {
+	if fe.enc == nil {
+		fe.enc = json.NewEncoder(&fe.json)
+	}
+	fe.json.Reset()
+	if err := fe.enc.Encode(rec); err != nil {
+		return dst, err
+	}
+	data := fe.json.Bytes()
+	n := len(data) - 1
+	if n > MaxRecordBytes {
+		return dst, fmt.Errorf("fed: record of %d bytes exceeds the %d-byte wire bound", n, MaxRecordBytes)
+	}
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	dst = append(dst, ' ')
+	return append(dst, data...), nil
+}
+
+// write frames one record onto w.
+func (fe *frameEncoder) write(w *bufio.Writer, rec *wireRecord) error {
+	var err error
+	if fe.out, err = fe.appendFrame(fe.out[:0], rec); err != nil {
 		return err
 	}
-	if len(data) > MaxRecordBytes {
-		return fmt.Errorf("fed: record of %d bytes exceeds the %d-byte wire bound", len(data), MaxRecordBytes)
-	}
-	if _, err := fmt.Fprintf(w, "%d ", len(data)); err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return err
-	}
-	return w.WriteByte('\n')
+	_, err = w.Write(fe.out)
+	return err
 }
 
 // readRecord decodes one frame. io.EOF means a clean end between
@@ -174,45 +199,57 @@ func headerFor(ex *incident.EvidenceExport) *header {
 	}
 }
 
-// writeCheckpoint appends one committed evidence snapshot. The commit
-// mark echoes the opening mark's counts but not the sensors — the
-// decoder validates the group on seq and counts alone. Lineage ("lin")
+// writeCheckpoint appends one committed evidence snapshot of count
+// source records, which writeSources frames in address order between
+// the opening mark and the classifier records. The commit mark echoes
+// the opening mark's counts but not the sensors — the decoder
+// validates the group on seq and counts alone. Lineage ("lin")
 // records are a minor-format addition within Version 1: the opening
 // mark declares their count and older decoders skip unknown kinds, so
 // segments with lineage remain readable by pre-lineage builds (which
 // simply drop the ancestry plane).
-func writeCheckpoint(w *bufio.Writer, seq uint64, ex *incident.EvidenceExport) error {
-	open := &checkpointMark{Seq: seq, Count: len(ex.Sources), Cls: len(ex.Classifier), Lin: len(ex.Lineage), Sensors: ex.Sensors}
-	if err := writeRecord(w, &wireRecord{Kind: kindCheckpoint, Ckpt: open}); err != nil {
+func writeCheckpoint(w *bufio.Writer, fe *frameEncoder, seq uint64, ex *incident.EvidenceExport,
+	count int, writeSources func(*bufio.Writer) error) error {
+	open := &checkpointMark{Seq: seq, Count: count, Cls: len(ex.Classifier), Lin: len(ex.Lineage), Sensors: ex.Sensors}
+	if err := fe.write(w, &wireRecord{Kind: kindCheckpoint, Ckpt: open}); err != nil {
 		return err
 	}
-	for i := range ex.Sources {
-		if err := writeRecord(w, &wireRecord{Kind: kindSource, Src: &ex.Sources[i]}); err != nil {
-			return err
-		}
+	if err := writeSources(w); err != nil {
+		return err
 	}
 	for i := range ex.Classifier {
-		if err := writeRecord(w, &wireRecord{Kind: kindClassifier, Cls: &ex.Classifier[i]}); err != nil {
+		if err := fe.write(w, &wireRecord{Kind: kindClassifier, Cls: &ex.Classifier[i]}); err != nil {
 			return err
 		}
 	}
 	for i := range ex.Lineage {
-		if err := writeRecord(w, &wireRecord{Kind: kindLineage, Lin: &ex.Lineage[i]}); err != nil {
+		if err := fe.write(w, &wireRecord{Kind: kindLineage, Lin: &ex.Lineage[i]}); err != nil {
 			return err
 		}
 	}
 	end := &checkpointMark{Seq: seq, Count: open.Count, Cls: open.Cls, Lin: open.Lin}
-	return writeRecord(w, &wireRecord{Kind: kindCommit, End: end})
+	return fe.write(w, &wireRecord{Kind: kindCommit, End: end})
 }
 
 // WriteExport serializes an evidence export as one complete segment:
-// header plus a single committed checkpoint.
+// header plus a single committed checkpoint. It is the reference
+// encoding: every sink checkpoint writes exactly the group this
+// writes for the full export at that instant.
 func WriteExport(w io.Writer, ex *incident.EvidenceExport) error {
 	bw := bufio.NewWriter(w)
-	if err := writeRecord(bw, &wireRecord{Kind: kindHeader, Hdr: headerFor(ex)}); err != nil {
+	var fe frameEncoder
+	if err := fe.write(bw, &wireRecord{Kind: kindHeader, Hdr: headerFor(ex)}); err != nil {
 		return err
 	}
-	if err := writeCheckpoint(bw, 1, ex); err != nil {
+	err := writeCheckpoint(bw, &fe, 1, ex, len(ex.Sources), func(bw *bufio.Writer) error {
+		for i := range ex.Sources {
+			if err := fe.write(bw, &wireRecord{Kind: kindSource, Src: &ex.Sources[i]}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	return bw.Flush()

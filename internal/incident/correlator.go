@@ -168,6 +168,24 @@ type Correlator struct {
 	maxTS     uint64
 	lastSweep uint64
 
+	// gen counts ExportSince calls. Every evidence mutation stamps its
+	// source with gen+1 as it moves the source to the LRU front, so the
+	// list is ordered by stamp and the sources changed since a cursor
+	// are a prefix of it. Cursors live with the callers: the
+	// correlator keeps no per-consumer state.
+	gen uint64
+
+	// live is the sorted live-address set ExportSince last returned,
+	// shared with its callers and never mutated; liveAdded collects the
+	// sources created since and liveGone records a finalization since,
+	// so the next export merges instead of sorting every address.
+	// Maintained only once an export has asked for it (liveOK), so a
+	// correlator that is never exported pays nothing.
+	live      []netip.Addr
+	liveAdded []netip.Addr
+	liveGone  bool
+	liveOK    bool
+
 	m struct {
 		events, flowOpens, alerts, fingerprints, flowEvicts atomic.Uint64
 		evictedLRU, evictedIdle                             atomic.Uint64
@@ -503,15 +521,29 @@ func (c *Correlator) source(src netip.Addr, ts uint64) *sourceState {
 		}
 		s.elem = c.lru.PushFront(s)
 		c.sources[src] = s
+		if c.liveOK {
+			c.liveAdded = append(c.liveAdded, src)
+			// Under heavy churn the pending additions would outgrow the
+			// table; a full rebuild on the next export is cheaper then.
+			if len(c.liveAdded) > len(c.sources) {
+				c.live, c.liveAdded, c.liveOK = nil, nil, false
+			}
+		}
 	}
 	c.touchLRU(s, ts)
 	return s
 }
 
+// touchLRU refreshes a source's recency and stamps it with the
+// current generation. Every evidence mutation reaches its source
+// through here (directly, or via source), which keeps the LRU list
+// ordered by stamp — the invariant ExportSince's prefix walk relies
+// on.
 func (c *Correlator) touchLRU(s *sourceState, ts uint64) {
 	if ts > s.lastSeenUS {
 		s.lastSeenUS = ts
 	}
+	s.gen = c.gen + 1
 	c.lru.MoveToFront(s.elem)
 }
 
@@ -520,6 +552,7 @@ func (c *Correlator) touchLRU(s *sourceState, ts uint64) {
 func (c *Correlator) finalize(s *sourceState) {
 	delete(c.sources, s.src)
 	c.lru.Remove(s.elem)
+	c.liveGone = true
 	if s.stage(c.cfg.WindowUS, c.cfg.FanoutThreshold) == StageNone {
 		return
 	}

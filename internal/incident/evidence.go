@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"semnids/internal/core"
@@ -248,23 +249,46 @@ func (s *sourceState) cloneLocked() *sourceState {
 }
 
 // Export snapshots every live source's evidence under the given
-// sensor ID. Safe concurrently with correlation, and cheap to run
-// concurrently: the lock is held only for map copies, while rendering
-// and sorting — the bulk of the work on a full source table — happen
-// outside it (the durable sink calls this periodically from its own
-// goroutine). Finalized (completed) incidents are rendered verdicts,
-// not evidence, and are not exported — export before finalization
-// (or size SourceIdleUS/MaxSources for the deployment) if every
-// source must survive a restart.
+// sensor ID: ExportSince from generation 0. Finalized (completed)
+// incidents are rendered verdicts, not evidence, and are not
+// exported — export before finalization (or size
+// SourceIdleUS/MaxSources for the deployment) if every source must
+// survive a restart.
 func (c *Correlator) Export(sensor string) *EvidenceExport {
+	ex, _, _ := c.ExportSince(sensor, 0)
+	return ex
+}
+
+// ExportSince is the incremental export behind Export and the durable
+// sink's checkpoints. The export's Sources hold only the sources
+// whose evidence changed after generation gen (every live source for
+// gen 0), sorted by address; live is the sorted address set of every
+// live source, and next is the cursor for the following call. A
+// caller that keeps the rendering of each source from earlier calls
+// reassembles a full Export from live, replacing exactly the returned
+// records. Cursors belong to the callers, so any number of them can
+// export concurrently with each other and with correlation. The lock
+// is held for the copies only — the changed sources' maps and, when
+// sources came or went, a merge of the address set — while rendering
+// and sorting happen outside it. The returned live slice is shared:
+// callers must not modify it.
+func (c *Correlator) ExportSince(sensor string, gen uint64) (ex *EvidenceExport, live []netip.Addr, next uint64) {
 	c.mu.Lock()
-	clones := make([]*sourceState, 0, len(c.sources))
-	for _, s := range c.sources {
+	var clones []*sourceState
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		s := el.Value.(*sourceState)
+		if s.gen <= gen {
+			break
+		}
 		clones = append(clones, s.cloneLocked())
 	}
+	live = c.liveAddrs()
+	c.gen++
+	next = c.gen
 	c.mu.Unlock()
 
-	ex := &EvidenceExport{
+	slices.SortFunc(clones, func(a, b *sourceState) int { return a.src.Compare(b.src) })
+	ex = &EvidenceExport{
 		Sensors:         []string{sensor},
 		WindowUS:        c.cfg.WindowUS,
 		FanoutThreshold: c.cfg.FanoutThreshold,
@@ -274,8 +298,45 @@ func (c *Correlator) Export(sensor string) *EvidenceExport {
 	for _, s := range clones {
 		ex.Sources = append(ex.Sources, s.export(sensor, c.cfg.WindowUS, c.cfg.FanoutThreshold))
 	}
-	sort.Slice(ex.Sources, func(i, j int) bool { return ex.Sources[i].Src.Less(ex.Sources[j].Src) })
-	return ex
+	return ex, live, next
+}
+
+// liveAddrs returns the sorted live source addresses, merging the
+// additions and finalizations since the previous call into the last
+// returned set — a linear pass, not a sort of the whole table. The
+// result is never mutated afterwards. Called with mu held.
+func (c *Correlator) liveAddrs() []netip.Addr {
+	if !c.liveOK {
+		c.live = make([]netip.Addr, 0, len(c.sources))
+		for a := range c.sources {
+			c.live = append(c.live, a)
+		}
+		slices.SortFunc(c.live, netip.Addr.Compare)
+		c.liveAdded, c.liveGone, c.liveOK = nil, false, true
+		return c.live
+	}
+	if len(c.liveAdded) == 0 && !c.liveGone {
+		return c.live
+	}
+	slices.SortFunc(c.liveAdded, netip.Addr.Compare)
+	old, add := c.live, c.liveAdded
+	out := make([]netip.Addr, 0, len(c.sources))
+	for len(old) > 0 || len(add) > 0 {
+		var a netip.Addr
+		if len(add) == 0 || (len(old) > 0 && old[0].Less(add[0])) {
+			a, old = old[0], old[1:]
+		} else {
+			a, add = add[0], add[1:]
+		}
+		// A finalized address may still be listed, and one finalized
+		// and re-created since is listed twice.
+		if c.liveGone && c.sources[a] == nil || len(out) > 0 && out[len(out)-1] == a {
+			continue
+		}
+		out = append(out, a)
+	}
+	c.live, c.liveAdded, c.liveGone = out, c.liveAdded[:0], false
+	return out
 }
 
 // export renders one source's evidence as a SourceEvidence value.

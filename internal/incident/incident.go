@@ -256,6 +256,11 @@ type sourceState struct {
 
 	// elem positions the source in the correlator's recency list.
 	elem *list.Element
+
+	// gen is the correlator generation of the source's latest evidence
+	// mutation (see Correlator.touchLRU): ExportSince renders only
+	// sources stamped after the caller's cursor.
+	gen uint64
 }
 
 // touchContent folds a content-bearing event timestamp into the span.

@@ -601,7 +601,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			RotateEvery:     cfg.IncidentExportRotateEvery,
 			CheckpointEvery: cfg.IncidentCheckpointEvery,
 			KeepSegments:    cfg.IncidentKeepSegments,
-			Export:          e.exportEvidence,
+			ExportSince:     e.exportEvidenceSince,
 			Telemetry:       tel,
 		})
 		if err != nil {
@@ -770,7 +770,9 @@ func (e *Engine) Stop() {
 }
 
 // Alerts returns the alerts recorded so far (complete for a trace
-// after Drain or Stop).
+// after Drain or Stop), in the canonical order — timestamp, 5-tuple,
+// template, frame source — that makes every report byte-identical
+// across shard counts.
 func (e *Engine) Alerts() []Alert { return e.inner.Alerts() }
 
 // Stats returns engine counters and gauges.
@@ -873,7 +875,17 @@ func (e *Engine) IncidentStats() IncidentMetrics {
 // (sub-threshold dark-space scan sets, suspicious marks), so a
 // restart restores selection behavior along with attacker evidence.
 func (e *Engine) exportEvidence() *EvidenceExport {
-	ex := e.corr.Export(e.sensor)
+	ex, _, _ := e.exportEvidenceSince(0)
+	return ex
+}
+
+// exportEvidenceSince is exportEvidence restricted to the correlator
+// sources changed since generation gen (see
+// incident.Correlator.ExportSince): the sink's incremental checkpoint
+// snapshot. The classifier and lineage planes are small and always
+// exported whole.
+func (e *Engine) exportEvidenceSince(gen uint64) (*EvidenceExport, []netip.Addr, uint64) {
+	ex, live, next := e.corr.ExportSince(e.sensor, gen)
 	for _, st := range e.inner.Classifier().ExportState() {
 		ex.Classifier = append(ex.Classifier, incident.ClassifierEvidence{
 			Src:               st.Src,
@@ -884,7 +896,7 @@ func (e *Engine) exportEvidence() *EvidenceExport {
 	if e.lin != nil {
 		ex.Lineage = e.lin.Export()
 	}
-	return ex
+	return ex, live, next
 }
 
 // ExportIncidents writes the correlator's current evidence state —
