@@ -59,9 +59,11 @@ func main() {
 		}
 		prog := ir.Lift(insts)
 		fmt.Println("   recovered execution order with folded constants:")
-		for _, n := range prog.Nodes {
-			line := fmt.Sprintf("     %3d: %v", n.Inst.Addr, n.Inst)
-			if n.Inst.Op == x86.XOR {
+		for i := range prog.Nodes {
+			n := &prog.Nodes[i]
+			in := prog.Inst(n)
+			line := fmt.Sprintf("     %3d: %v", in.Addr, in)
+			if in.Op == x86.XOR {
 				if key, ok := n.ConstBefore(x86.BL); ok {
 					line += fmt.Sprintf("    ; bl == %#x here (folded)", key)
 				}

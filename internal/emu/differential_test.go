@@ -79,8 +79,8 @@ func TestDifferentialIRvsEmu(t *testing.T) {
 
 		prog := ir.Lift(x86.SweepAll(code))
 		final := &prog.Nodes[len(prog.Nodes)-1] // the int 0x80 node
-		if final.Inst.Op != x86.INT {
-			t.Logf("last node is %v", final.Inst)
+		if in := prog.Inst(final); in.Op != x86.INT {
+			t.Logf("last node is %v", in)
 			return false
 		}
 		for _, reg := range regs {

@@ -317,7 +317,7 @@ func (m *Machine) runFrom(entry int) (Stop, error) {
 		if err != nil {
 			return Stop{}, fmt.Errorf("%w at %#x: %v", ErrDecode, m.EIP, err)
 		}
-		next := m.EIP + in.Len
+		next := m.EIP + int(in.Len)
 		stop, jump, err := m.exec(&in, next)
 		if err != nil {
 			return Stop{}, fmt.Errorf("at %#x (%v): %w", m.EIP, in, err)
@@ -615,7 +615,7 @@ func (m *Machine) exec(in *x86.Inst, next int) (stop *Stop, jump int, err error)
 
 	case x86.JMP:
 		if in.HasTarget {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 		v, gerr := m.getOp(a0)
 		if gerr != nil {
@@ -624,34 +624,34 @@ func (m *Machine) exec(in *x86.Inst, next int) (stop *Stop, jump int, err error)
 		return nil, int(v), nil
 	case x86.JCC:
 		if m.cond(in.Cond) {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 	case x86.LOOP:
 		c := m.Reg(x86.ECX) - 1
 		m.SetReg(x86.ECX, c)
 		if c != 0 {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 	case x86.LOOPE:
 		c := m.Reg(x86.ECX) - 1
 		m.SetReg(x86.ECX, c)
 		if c != 0 && m.ZF {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 	case x86.LOOPNE:
 		c := m.Reg(x86.ECX) - 1
 		m.SetReg(x86.ECX, c)
 		if c != 0 && !m.ZF {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 	case x86.JECXZ:
 		if m.Reg(x86.ECX) == 0 {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 	case x86.CALL:
 		m.push(uint32(next))
 		if in.HasTarget {
-			return nil, in.Target, nil
+			return nil, int(in.Target), nil
 		}
 		v, gerr := m.getOp(a0)
 		if gerr != nil {

@@ -1,6 +1,11 @@
 package extract
 
-import "encoding/binary"
+import (
+	"cmp"
+	"encoding/binary"
+	"slices"
+	"sync"
+)
 
 // CoAP extraction (RFC 7252): the constrained-device protocol IoT
 // deployments run over UDP. CoAP has no length framing of its own —
@@ -145,12 +150,33 @@ func IsCoAP(data []byte) bool {
 	return ok
 }
 
-// blockXfer accumulates one block-wise transfer (keyed by token).
-type blockXfer struct {
-	nums   []uint32
-	parts  [][]byte
-	offset int // absolute offset of the first-seen block's payload
+// coapBlock is one block of a block-wise transfer: the transfer it
+// belongs to (index in first-appearance order), its block number, and
+// its payload's span in the flow data.
+type coapBlock struct {
+	xfer     int
+	num      uint32
+	from, to int
 }
+
+// coapToken is a CoAP token (at most 8 bytes) as a comparable map key.
+type coapToken struct {
+	n int
+	b [8]byte
+}
+
+// coapFlowScratch is extractCoAPFlow's working state, pooled so that
+// walking a conversation allocates nothing but the frames it forwards.
+type coapFlowScratch struct {
+	xfers   map[coapToken]int // token -> transfer index
+	offsets []int             // transfer index -> absolute offset of its first-seen block's payload
+	blocks  []coapBlock
+	body    []byte
+}
+
+var coapScratchPool = sync.Pool{New: func() any {
+	return &coapFlowScratch{xfers: make(map[coapToken]int)}
+}}
 
 // ExtractDatagrams is the extraction entry point for datagram flows:
 // data is the in-order concatenation of a flow's datagram payloads and
@@ -184,10 +210,12 @@ func ExtractDatagrams(data []byte, bounds []int) []Frame {
 // same gate. Datagrams that fail the CoAP parse mid-flow (protocol
 // confusion, injected raw payloads) still get the raw-binary scan.
 func extractCoAPFlow(data []byte, bounds []int) []Frame {
-	var frames []Frame
-	xfers := make(map[string]*blockXfer)
-	var order []string // first-appearance order, for deterministic output
+	sc := coapScratchPool.Get().(*coapFlowScratch)
+	defer coapScratchPool.Put(sc)
+	clear(sc.xfers)
+	sc.offsets, sc.blocks = sc.offsets[:0], sc.blocks[:0]
 
+	var frames []Frame
 	for i, start := range bounds {
 		end := len(data)
 		if i+1 < len(bounds) {
@@ -210,15 +238,16 @@ func extractCoAPFlow(data []byte, bounds []int) []Frame {
 			if !m.hasB1 {
 				blk = m.block2
 			}
-			k := string(m.token)
-			x := xfers[k]
-			if x == nil {
-				x = &blockXfer{offset: start + m.payloadOff}
-				xfers[k] = x
-				order = append(order, k)
+			var tok coapToken
+			tok.n = copy(tok.b[:], m.token)
+			x, seen := sc.xfers[tok]
+			if !seen {
+				x = len(sc.offsets)
+				sc.xfers[tok] = x
+				sc.offsets = append(sc.offsets, start+m.payloadOff)
 			}
-			x.nums = append(x.nums, blockNum(blk))
-			x.parts = append(x.parts, m.payload)
+			from := start + m.payloadOff
+			sc.blocks = append(sc.blocks, coapBlock{xfer: x, num: blockNum(blk), from: from, to: from + len(m.payload)})
 			continue
 		}
 		if looksExecutable(m.payload) {
@@ -230,42 +259,32 @@ func extractCoAPFlow(data []byte, bounds []int) []Frame {
 		}
 	}
 
-	for _, k := range order {
-		x := xfers[k]
-		body := x.reassemble()
-		if looksExecutable(body) {
+	// Transfers in first-appearance order, each body's blocks ordered
+	// by block number; the stable sort keeps the first copy of a
+	// retransmitted number ahead of later ones, and only that copy is
+	// concatenated.
+	slices.SortStableFunc(sc.blocks, func(a, b coapBlock) int {
+		if a.xfer != b.xfer {
+			return cmp.Compare(a.xfer, b.xfer)
+		}
+		return cmp.Compare(a.num, b.num)
+	})
+	for i := 0; i < len(sc.blocks); {
+		x := sc.blocks[i].xfer
+		sc.body = sc.body[:0]
+		for prev := -1; i < len(sc.blocks) && sc.blocks[i].xfer == x; i++ {
+			if b := &sc.blocks[i]; int(b.num) != prev {
+				prev = int(b.num)
+				sc.body = append(sc.body, data[b.from:b.to]...)
+			}
+		}
+		if looksExecutable(sc.body) {
 			frames = append(frames, Frame{
-				Data:   capFrame(body),
+				Data:   slices.Clone(capFrame(sc.body)),
 				Source: "coap-block",
-				Offset: x.offset,
+				Offset: sc.offsets[x],
 			})
 		}
 	}
 	return frames
-}
-
-// reassemble orders the transfer's blocks by block number
-// (retransmitted numbers keep the first copy) and concatenates them.
-func (x *blockXfer) reassemble() []byte {
-	// Insertion sort by block number, stable, preserving first-arrival
-	// on duplicates; transfers are small (bounded by MaxDgramBounds
-	// datagrams upstream).
-	idx := make([]int, len(x.nums))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && x.nums[idx[j]] < x.nums[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	var body []byte
-	seen := uint32(0xffffffff)
-	for _, i := range idx {
-		if n := x.nums[i]; n != seen {
-			seen = n
-			body = append(body, x.parts[i]...)
-		}
-	}
-	return body
 }

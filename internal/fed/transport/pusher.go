@@ -220,7 +220,9 @@ type UpstreamStatus struct {
 }
 
 // upstream is the pusher's per-upstream state: negotiated encoding
-// plus its telemetry series, labeled by URL.
+// plus its telemetry series, labeled by URL. The counters move only
+// under Pusher.mu, together with the matching aggregate PushMetrics
+// field, so one Metrics snapshot never shows them disagreeing.
 type upstream struct {
 	url string
 
@@ -398,12 +400,16 @@ func (p *Pusher) Notify() {
 	}
 }
 
-// Metrics returns current pusher counters and health gauges.
+// Metrics returns current pusher counters and health gauges. The
+// aggregate and per-upstream counters are read under one lock: each
+// aggregate equals the sum of its per-upstream slices (Retried also
+// counts failures not tied to an upstream, so it may exceed the sum).
 func (p *Pusher) Metrics() PushMetrics {
+	ups := make([]UpstreamStatus, len(p.ups))
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	m := p.m
-	p.mu.Unlock()
-	m.Upstreams = make([]UpstreamStatus, len(p.ups))
+	m.Upstreams = ups
 	for i, u := range p.ups {
 		m.Upstreams[i] = UpstreamStatus{
 			URL:       u.url,
@@ -615,6 +621,7 @@ func (p *Pusher) pushSegment(name string, st *segState) bool {
 			// previous outage's lingering ceiling.
 			p.backoff = 0
 			p.mu.Lock()
+			u.acked.Inc()
 			p.m.Acked++
 			p.m.RawBytes += uint64(size)
 			p.m.WireBytes += uint64(wire)
@@ -631,8 +638,8 @@ func (p *Pusher) pushSegment(name string, st *segState) bool {
 			st.doneSize = size
 			return true
 		default:
-			u.retried.Inc()
 			p.mu.Lock()
+			u.retried.Inc()
 			p.m.Retried++
 			p.m.LastError = msg
 			p.mu.Unlock()
@@ -694,8 +701,8 @@ func (p *Pusher) attempt(u *upstream, name string, body []byte, compressed bool)
 		req.Header.Set(HeaderVia, strings.Join(via, ","))
 	}
 
-	u.pushed.Inc()
 	p.mu.Lock()
+	u.pushed.Inc()
 	p.m.Pushed++
 	p.mu.Unlock()
 	t0 := time.Now()
@@ -710,7 +717,6 @@ func (p *Pusher) attempt(u *upstream, name string, body []byte, compressed bool)
 	u.learn(resp)
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		u.acked.Inc()
 		return pushAcked, ""
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		excerpt, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
@@ -796,8 +802,8 @@ func (p *Pusher) failoverTo(idx int) {
 	}
 	p.active = idx
 	u := p.ups[idx]
-	u.failovers.Inc()
 	p.mu.Lock()
+	u.failovers.Inc()
 	p.m.Failovers++
 	p.m.ActiveUpstream = u.url
 	p.mu.Unlock()

@@ -160,6 +160,88 @@ func TestPusherFailoverAndPromotion(t *testing.T) {
 	})
 }
 
+// TestPusherMetricsCoherent takes Metrics snapshots concurrently with
+// pushes, retries and failovers between a flapping primary and a
+// healthy secondary: in every snapshot each aggregate counter must
+// equal the sum of its per-upstream slices (Retried may exceed it by
+// failures not tied to an upstream).
+func TestPusherMetricsCoherent(t *testing.T) {
+	spool := t.TempDir()
+	ex := synthExport(t, "sensor-a", 41, 100)
+	writeSegment(t, spool, 0, ex)
+
+	primary := newAggregator(t, t.TempDir(), nil)
+	defer primary.Close()
+	secondary := newAggregator(t, t.TempDir(), nil)
+	defer secondary.Close()
+	priSrv, priUp := flakyServer(primary)
+	defer priSrv.Close()
+	secSrv := httptest.NewServer(secondary)
+	defer secSrv.Close()
+
+	p, err := NewPusher(PusherConfig{
+		Dir:            spool,
+		URLs:           []string{priSrv.URL, secSrv.URL},
+		RequestTimeout: 2 * time.Second,
+		ScanInterval:   2 * time.Millisecond,
+		BackoffMin:     time.Millisecond,
+		BackoffMax:     4 * time.Millisecond,
+		ProbeInterval:  3 * time.Millisecond,
+		Seed:           1,
+		Compression:    testCompression(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	stop := make(chan struct{})
+	done := make(chan string, 1)
+	go func() {
+		snapshots := 0
+		for {
+			m := p.Metrics()
+			var pushed, acked, retried, failovers uint64
+			for _, u := range m.Upstreams {
+				pushed += u.Pushed
+				acked += u.Acked
+				retried += u.Retried
+				failovers += u.Failovers
+			}
+			if pushed != m.Pushed || acked != m.Acked || retried > m.Retried || failovers != m.Failovers {
+				done <- fmt.Sprintf("snapshot %d: aggregates disagree with per-upstream sums: %+v", snapshots, m)
+				return
+			}
+			snapshots++
+			select {
+			case <-stop:
+				done <- ""
+				return
+			default:
+			}
+		}
+	}()
+
+	// Flap the primary and keep the spool growing, so pushes, acks,
+	// retries and failovers interleave with the snapshots.
+	const segments = 40
+	for i := 1; i <= segments; i++ {
+		priUp.Store(i%4 < 2)
+		writeSegment(t, spool, i, ex)
+		p.Notify()
+		time.Sleep(3 * time.Millisecond)
+	}
+	priUp.Store(true)
+	waitFor(t, "every segment acked", func() bool { return p.Metrics().Acked >= segments })
+	close(stop)
+	if msg := <-done; msg != "" {
+		t.Fatal(msg)
+	}
+	if m := p.Metrics(); m.Retried == 0 || m.Failovers == 0 {
+		t.Errorf("metrics %+v: want retries and failovers exercised", m)
+	}
+}
+
 // TestPusherSpoolsWhenAllUpstreamsDown: with every upstream dead the
 // pusher degrades to spool-and-forward — one backoff raise per pass
 // (not per upstream), evidence intact — and drains when any upstream

@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"slices"
+
 	"semnids/internal/x86"
 )
 
@@ -29,13 +31,15 @@ func (s RegSet) Intersects(o RegSet) bool { return s&o != 0 }
 // AllRegs is the set of every family.
 const AllRegs RegSet = 0xff
 
-// Node is one instruction in execution order together with the
-// abstract state holding *before* it executes and its def/use sets.
+// Node is one instruction in an order, together with the register
+// state holding *before* it executes and its def/use sets. It refers
+// to its instruction by position in the lifted sweep (Program.Insts)
+// instead of carrying a copy: a Node is 72 bytes and pointer-free, so
+// lifting a sweep fills flat records in place.
 type Node struct {
-	Inst x86.Inst
-	Seq  int // position in execution order
+	Pre Regs // register knowledge before the instruction executes
 
-	Pre Env // state before the instruction executes
+	Idx int32 // position of the instruction in Program.Insts
 
 	Defs      RegSet // register families written
 	Uses      RegSet // register families read
@@ -47,11 +51,10 @@ type Node struct {
 // executes, if known.
 func (n *Node) ConstBefore(r x86.Reg) (uint32, bool) { return n.Pre.Get(r) }
 
-// Advance reports whether the instruction adds a constant delta to the
-// full 32-bit register fam (covers add/sub imm, inc, dec, and
-// lea r, [r+disp]).
-func (n *Node) Advance() (fam x86.Reg, delta int64, ok bool) {
-	in := n.Inst
+// Advance reports whether the node's instruction in adds a constant
+// delta to the full 32-bit register fam (covers add/sub imm, inc, dec,
+// and lea r, [r+disp]).
+func (n *Node) Advance(in *x86.Inst) (fam x86.Reg, delta int64, ok bool) {
 	a0, a1 := in.Args[0], in.Args[1]
 	switch in.Op {
 	case x86.INC:
@@ -92,16 +95,24 @@ func (n *Node) Advance() (fam x86.Reg, delta int64, ok bool) {
 }
 
 // Program is the lifted, analyzed form of a disassembled frame.
+//
+// Lifetime: Insts is the caller's sweep, aliased rather than copied,
+// and every Node refers into it. The nodes are valid until the next
+// Reuse of the Program or, when the sweep came from an
+// x86.DecodeCache, the cache's next Reset — whichever comes first.
 type Program struct {
+	// Insts is the lifted sweep in address order.
+	Insts []x86.Inst
 	// Nodes in recovered execution order (unconditional jmp chains
 	// threaded away).
 	Nodes []Node
 	// Raw is the linear-sweep order, also lifted, for matching code
-	// that is sequential but junk-laden.
+	// that is sequential but junk-laden. Raw[i].Idx == i.
 	Raw []Node
 
-	// threaded is reusable scratch for the threaded instruction order.
-	threaded []x86.Inst
+	// threaded is reusable scratch for the threaded order, as
+	// positions into Insts.
+	threaded []int32
 
 	// stackBuf is the evaluator's reusable symbolic-stack storage,
 	// threaded through analyzeInto so repeated lifts do not re-grow
@@ -111,44 +122,59 @@ type Program struct {
 
 // Lift analyzes a decoded instruction stream: it computes the threaded
 // execution order, runs the constant-propagation evaluator along both
-// the threaded and raw orders, and fills in def/use sets.
+// the threaded and raw orders, and fills in def/use sets. The Program
+// aliases insts (see Program for the lifetime rule).
 func Lift(insts []x86.Inst) *Program {
 	p := &Program{}
 	p.Reuse(insts)
 	return p
 }
 
+// Inst returns the instruction node n refers to.
+func (p *Program) Inst(n *Node) *x86.Inst { return &p.Insts[n.Idx] }
+
 // Reuse re-lifts a new instruction stream into p, reusing the node and
 // scratch storage of previous lifts. The hot analysis path lifts every
 // frame at several sweep offsets; reusing one Program per worker keeps
 // those lifts allocation-free once the buffers have grown to frame
-// size.
+// size. Nodes from the previous lift are overwritten, and insts is
+// aliased until the next Reuse.
 func (p *Program) Reuse(insts []x86.Inst) {
+	p.Insts = insts
 	p.threaded = x86.ThreadOrderAppend(p.threaded[:0], insts)
-	p.Nodes, p.stackBuf = analyzeInto(p.Nodes[:0], p.threaded, p.stackBuf)
-	p.Raw, p.stackBuf = analyzeInto(p.Raw[:0], insts, p.stackBuf)
+	p.Nodes = p.analyzeInto(p.Nodes, p.threaded, false)
+	p.Raw = p.analyzeInto(p.Raw, nil, true)
 }
 
-// analyzeInto runs the abstract evaluator over insts in the given
-// order, appending the resulting nodes to the caller-managed slice.
-// stackBuf seeds the evaluator's symbolic stack; the (possibly grown)
-// buffer is returned for the next lift to reuse.
-func analyzeInto(nodes []Node, insts []x86.Inst, stackBuf []stackVal) ([]Node, []stackVal) {
+// analyzeInto runs the abstract evaluator over p.Insts in the given
+// order — the positions in order, or the sweep itself when raw — and
+// fills the caller-managed node slice in place, growing it only when
+// the order is longer than any before.
+func (p *Program) analyzeInto(nodes []Node, order []int32, raw bool) []Node {
+	n := len(order)
+	if raw {
+		n = len(p.Insts)
+	}
+	nodes = slices.Grow(nodes[:0], n)[:n]
 	env := NewEnv()
-	env.stack = stackBuf[:0]
-	base := len(nodes)
-	for i := range insts {
-		in := &insts[i]
-		nodes = append(nodes, Node{Inst: *in, Seq: i, Pre: env.snapshot()})
-		computeDefsUses(&nodes[base+i])
+	env.stack = p.stackBuf[:0]
+	for k := range nodes {
+		idx := int32(k)
+		if !raw {
+			idx = order[k]
+		}
+		in := &p.Insts[idx]
+		nd := &nodes[k]
+		*nd = Node{Pre: env.regs, Idx: idx}
+		computeDefsUses(nd, in)
 		step(&env, in)
 	}
-	return nodes, env.stack
+	p.stackBuf = env.stack
+	return nodes
 }
 
-// computeDefsUses fills the def/use sets for one instruction.
-func computeDefsUses(n *Node) {
-	in := &n.Inst
+// computeDefsUses fills the def/use sets of n for its instruction in.
+func computeDefsUses(n *Node, in *x86.Inst) {
 	addOperandUses := func(o x86.Operand) {
 		switch o.Kind {
 		case x86.KindReg:

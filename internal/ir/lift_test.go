@@ -30,8 +30,8 @@ func TestConstantFoldingFigure1b(t *testing.T) {
 			I(x86.XOR, x86.MemOp(x86.MemRef{Base: x86.EAX, Size: 1, Scale: 1}), x86.RegOp(x86.BL))
 	})
 	xorNode := last(p)
-	if xorNode.Inst.Op != x86.XOR {
-		t.Fatalf("last inst = %v", xorNode.Inst)
+	if in := p.Inst(xorNode); in.Op != x86.XOR {
+		t.Fatalf("last inst = %v", in)
 	}
 	v, known := xorNode.ConstBefore(x86.BL)
 	if !known || v != 0x95 {
@@ -159,7 +159,7 @@ func TestAdvanceDetection(t *testing.T) {
 	for i, c := range cases {
 		p := liftAsm(t, c.build)
 		n := last(p)
-		fam, delta, ok := n.Advance()
+		fam, delta, ok := n.Advance(p.Inst(n))
 		if !ok || fam.Family() != c.fam || delta != c.delta {
 			t.Errorf("case %d: Advance() = (%v, %d, %v), want (%v, %d, true)",
 				i, fam, delta, ok, c.fam, c.delta)
@@ -167,7 +167,7 @@ func TestAdvanceDetection(t *testing.T) {
 	}
 	// Negative case: mov is not an advance.
 	p := liftAsm(t, func(a *x86.Asm) { a.MovRI(x86.EAX, 5) })
-	if _, _, ok := last(p).Advance(); ok {
+	if _, _, ok := last(p).Advance(p.Inst(last(p))); ok {
 		t.Error("mov should not be an advance")
 	}
 }

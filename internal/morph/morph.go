@@ -66,14 +66,14 @@ type item struct {
 // target an instruction boundary (or one past the end).
 func (m *Mutator) Mutate(code []byte) ([]byte, error) {
 	insts := x86.SweepAll(code)
-	addrToIdx := make(map[int]int, len(insts))
+	addrToIdx := make(map[int32]int, len(insts))
 	for i, in := range insts {
 		if in.Op == x86.BAD {
 			return nil, fmt.Errorf("%w (offset %d)", ErrBadInput, in.Addr)
 		}
 		addrToIdx[in.Addr] = i
 	}
-	addrToIdx[len(code)] = len(insts)
+	addrToIdx[int32(len(code))] = len(insts)
 
 	// Registers the code uses at all; junk prefers registers the code
 	// already touches (stylistic) but must preserve everything, so
@@ -154,7 +154,7 @@ func (m *Mutator) Mutate(code []byte) ([]byte, error) {
 		}
 		enc, err := x86.Encode(x86.Inst{
 			Op: it.br.op, Cond: it.br.cond,
-			HasTarget: true, Addr: it.addr, Target: targetAddr,
+			HasTarget: true, Addr: int32(it.addr), Target: int32(targetAddr),
 		})
 		if err != nil {
 			return nil, err

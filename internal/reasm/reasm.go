@@ -130,6 +130,10 @@ type Assembler struct {
 	// until the next Feed/Close/Drain call.
 	res Stream
 
+	// evicted is the reused view handed to the evict handler, valid
+	// for the duration of that call.
+	evicted Stream
+
 	// freeBufs and freeStreams recycle stream-data buffers (returned
 	// by the owner via Recycle) and flow-state structs (recycled
 	// internally when a flow is closed, drained or evicted), so
@@ -419,8 +423,9 @@ func (a *Assembler) evict(st *stream) {
 	a.noteRemove(st)
 	delete(a.flows, st.key)
 	if a.onEvict != nil {
-		ev := Stream{Key: st.key, Data: st.data, Finished: false, Dgram: st.dgram, Bounds: st.bounds}
-		a.onEvict(&ev)
+		a.evicted = Stream{Key: st.key, Data: st.data, Finished: false, Dgram: st.dgram, Bounds: st.bounds}
+		a.onEvict(&a.evicted)
+		a.evicted = Stream{}
 	} else {
 		a.Recycle(st.data)
 	}

@@ -2,8 +2,10 @@ package sem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"semnids/internal/ir"
 	"semnids/internal/x86"
 )
 
@@ -151,6 +153,105 @@ func TestCompiledPrefilterSuperset(t *testing.T) {
 		for _, op := range need {
 			if !mask.Has(op) {
 				t.Errorf("kind %d: prefilter mask missing opcode %v", st.Kind, op)
+			}
+		}
+	}
+}
+
+// TestStmtVocabSuperset checks the search's per-node vocabulary gate
+// exhaustively over opcodes: for every opcode, across a spread of
+// operand shapes with known register constants, whenever matchStmt
+// accepts an instruction for a restricted statement, the statement's
+// vocabulary contains that opcode. The gate skips matchStmt for every
+// other opcode, so this is what keeps the gate invisible to detection.
+func TestStmtVocabSuperset(t *testing.T) {
+	stmts := []Stmt{
+		{Kind: SMemXform, Ptr: "p", Key: "k", Ops: []x86.Opcode{x86.XOR, x86.ADD, x86.NOT}},
+		{Kind: SMemLoad, Ptr: "p", Reg: "r"},
+		{Kind: SMemStore, Ptr: "p"},
+		{Kind: SRegXform, Ops: []x86.Opcode{x86.ROL, x86.OR}},
+		{Kind: SAdvance, Ptr: "p"},
+		{Kind: SBackEdge},
+		{Kind: SSyscall, Num: 1},
+		{Kind: SConstInRange, Reg: "r", Lo: 1, Hi: 2},
+		{Kind: SIndirect, Reg: "r"},
+	}
+	mem := x86.MemOp(x86.MemRef{Base: x86.EAX, Disp: 1, Size: 1, Scale: 1})
+	reg, reg2, imm := x86.RegOp(x86.EAX), x86.RegOp(x86.EBX), x86.ImmOp(1)
+	shapes := [][3]x86.Operand{
+		{}, {reg}, {mem}, {x86.ImmOp(0x80)}, {imm},
+		{reg, imm}, {reg, reg2}, {reg, mem}, {mem, reg2}, {mem, imm},
+	}
+	// Every register starts known, so constant-dependent statements
+	// can accept.
+	var prefix []x86.Inst
+	for r := x86.EAX; r <= x86.EDI; r++ {
+		prefix = append(prefix, x86.Inst{Op: x86.MOV, Args: [3]x86.Operand{x86.RegOp(r), imm}})
+	}
+	cts := make([]*compiledTemplate, len(stmts))
+	for si := range stmts {
+		cts[si] = compileTemplate(&Template{Name: "t", Stmts: stmts[si : si+1]})
+	}
+	accepted := make([]int, len(stmts))
+	var m matcher
+	for op := 0; op < 256; op++ {
+		for _, args := range shapes {
+			for _, branch := range []bool{false, true} {
+				in := x86.Inst{Op: x86.Opcode(op), Args: args, HasTarget: branch}
+				insts := append(append([]x86.Inst(nil), prefix...), in)
+				for i := range insts {
+					insts[i].Addr, insts[i].Len = int32(i), 1
+				}
+				prog := ir.Lift(insts)
+				m.reset(prog.Raw, prog.Insts, nil)
+				for si, ct := range cts {
+					st := &ct.stmts[0]
+					if !m.matchStmt(st, len(insts)-1, &binding{}) {
+						continue
+					}
+					accepted[si]++
+					if !st.anyOp && !st.vocab.Has(in.Op) {
+						t.Errorf("kind %d accepts %v outside its vocabulary", st.Kind, &in)
+					}
+				}
+			}
+		}
+	}
+	for si, n := range accepted {
+		if n == 0 {
+			t.Errorf("kind %d accepted no instruction; the check is vacuous", stmts[si].Kind)
+		}
+	}
+}
+
+// TestMatcherReuseMatchesFresh rebinds one matcher to orders of frames
+// of shrinking and growing size and checks every per-order table, and
+// every address lookup, against a fresh matcher: reset clears only the
+// address-index entries it set, so a stale entry would surface here as
+// a back-edge target that is not in the current order.
+func TestMatcherReuseMatchesFresh(t *testing.T) {
+	frames := [][]byte{junkFrame(7, 3000), junkFrame(8, 200), junkFrame(9, 1200), junkFrame(10, 40)}
+	var reused matcher
+	var prog ir.Program
+	for fi, frame := range frames {
+		for off := 0; off < 4; off++ {
+			prog.Reuse(x86.Sweep(frame, off))
+			for oi, nodes := range [][]ir.Node{prog.Nodes, prog.Raw} {
+				var fresh matcher
+				fresh.reset(nodes, prog.Insts, frame)
+				reused.reset(nodes, prog.Insts, frame)
+				if !slices.Equal(reused.ops, fresh.ops) || !slices.Equal(reused.addrs, fresh.addrs) ||
+					!slices.Equal(reused.defCount, fresh.defCount) || !slices.Equal(reused.flowCount, fresh.flowCount) ||
+					reused.opsSeen != fresh.opsSeen {
+					t.Fatalf("frame %d offset %d order %d: reused tables differ from fresh", fi, off, oi)
+				}
+				for a := int32(-1); int(a) <= len(reused.addrIndex); a++ {
+					j1, ok1 := reused.lookupAddr(a)
+					j2, ok2 := fresh.lookupAddr(a)
+					if j1 != j2 || ok1 != ok2 {
+						t.Fatalf("frame %d offset %d order %d: lookupAddr(%d) = %d,%v, fresh %d,%v", fi, off, oi, a, j1, ok1, j2, ok2)
+					}
+				}
 			}
 		}
 	}

@@ -253,13 +253,13 @@ candidates:
 			if len(ord.nodes) == 0 {
 				continue
 			}
-			sc.m.reset(ord.nodes, frame)
+			sc.m.reset(ord.nodes, sc.prog.Insts, frame)
 			for _, c := range cands {
 				if seenName(c.tpl.Name) {
 					continue
 				}
 				if b, idxs, ok := sc.m.match(c.ct); ok {
-					record(makeDetection(c.tpl, c.ct, ord.name, ord.nodes, b, idxs))
+					record(makeDetection(c.tpl, c.ct, ord.name, &sc.m, b, idxs))
 				}
 			}
 		}
@@ -273,7 +273,7 @@ candidates:
 	return out
 }
 
-func makeDetection(tpl *Template, ct *compiledTemplate, order string, nodes []ir.Node, b *binding, idxs []int) Detection {
+func makeDetection(tpl *Template, ct *compiledTemplate, order string, m *matcher, b *binding, idxs []int) Detection {
 	d := Detection{
 		Template:    tpl.Name,
 		Description: tpl.Description,
@@ -282,7 +282,7 @@ func makeDetection(tpl *Template, ct *compiledTemplate, order string, nodes []ir
 		Bindings:    make(map[string]string),
 	}
 	for _, i := range idxs {
-		d.Addrs = append(d.Addrs, nodes[i].Inst.Addr)
+		d.Addrs = append(d.Addrs, int(m.addrs[i]))
 	}
 	for id, name := range ct.varNames {
 		if b.bound&(1<<id) != 0 {

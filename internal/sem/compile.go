@@ -24,6 +24,13 @@ type cstmt struct {
 	ptrVar int8 // id of Ptr, -1 if unnamed
 	regVar int8 // id of Reg, -1 if unnamed
 	keyVar int8 // id of Key, -1 if unnamed
+
+	// vocab is the opcode set matchStmt can accept for the statement
+	// (stmtOpMask); anyOp is set when the statement restricts no
+	// opcode. The search rejects a node outside vocab before copying
+	// the candidate binding.
+	vocab opMask
+	anyOp bool
 }
 
 // compiledTemplate is the one-time-preprocessed form of a Template:
@@ -94,11 +101,14 @@ func compileTemplate(t *Template) *compiledTemplate {
 	}
 
 	for i, s := range expanded {
+		vocab, restricted := stmtOpMask(&s)
 		ct.stmts[i] = cstmt{
 			Stmt:   s,
 			ptrVar: intern(s.Ptr),
 			regVar: intern(s.Reg),
 			keyVar: intern(s.Key),
+			vocab:  vocab,
+			anyOp:  !restricted,
 		}
 	}
 
@@ -131,8 +141,8 @@ func compileTemplate(t *Template) *compiledTemplate {
 			}
 			continue
 		}
-		if need, ok := stmtOpMask(&st.Stmt); ok {
-			ct.opNeeds = append(ct.opNeeds, need)
+		if !st.anyOp {
+			ct.opNeeds = append(ct.opNeeds, st.vocab)
 		}
 	}
 	return ct

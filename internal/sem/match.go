@@ -2,6 +2,8 @@ package sem
 
 import (
 	"bytes"
+	"math/bits"
+	"slices"
 
 	"semnids/internal/ir"
 	"semnids/internal/x86"
@@ -13,13 +15,16 @@ import (
 // without allocating.
 type matcher struct {
 	nodes []ir.Node
+	insts []x86.Inst // the lifted sweep the nodes refer into
 	frame []byte
 
-	// defCount[fam][i] = number of defs of register family fam in
+	// ops[i] is the opcode of nodes[i]'s instruction, kept flat so the
+	// search's vocabulary check does not chase the node's reference.
+	ops []x86.Opcode
+
+	// defCount[i][fam] = number of defs of register family fam in
 	// nodes[0:i]; lets the clobber check run in O(1) per candidate.
-	// The eight rows share one flat buffer.
-	defCount [8][]int32
-	defBuf   []int32
+	defCount [][8]int32
 
 	// flowCount[i] = number of flow-breaking nodes (undecodable bytes,
 	// ret, hlt) in nodes[0:i]. A matched behavior must be control-flow
@@ -29,8 +34,11 @@ type matcher struct {
 
 	// addrIndex maps instruction frame offsets to sequence position
 	// (-1 = no instruction at that offset). Indexed directly by
-	// offset, which the SBackEdge check hits once per candidate.
+	// offset, which the SBackEdge check hits once per candidate. It
+	// only ever grows; reset clears just the entries the previous
+	// sequence set, which addrs records.
 	addrIndex []int32
+	addrs     []int32
 
 	// opsSeen is the set of opcodes present in nodes; compiled
 	// template prefilters reject impossible templates against it
@@ -53,69 +61,60 @@ type matcher struct {
 // frames cannot consume unbounded CPU in the analyzer.
 const maxSearchSteps = 1 << 20
 
-// reset rebinds the matcher to a node sequence, rebuilding the
-// def/flow prefix sums, the address index and the opcode presence set.
-func (m *matcher) reset(nodes []ir.Node, frame []byte) {
-	m.nodes, m.frame = nodes, frame
+// reset rebinds the matcher to a node sequence over the lifted sweep
+// insts, rebuilding the def/flow prefix sums, the address index and
+// the opcode presence set.
+func (m *matcher) reset(nodes []ir.Node, insts []x86.Inst, frame []byte) {
+	m.nodes, m.insts, m.frame = nodes, insts, frame
 	m.opsSeen = opMask{}
 
+	for _, a := range m.addrs {
+		m.addrIndex[a] = -1
+	}
 	n := len(nodes)
-	if cap(m.defBuf) < 8*(n+1) {
-		m.defBuf = make([]int32, 8*(n+1))
-	} else {
-		m.defBuf = m.defBuf[:8*(n+1)]
-	}
-	for f := 0; f < 8; f++ {
-		m.defCount[f] = m.defBuf[f*(n+1) : (f+1)*(n+1)]
-		m.defCount[f][0] = 0
-	}
-	if cap(m.flowCount) < n+1 {
-		m.flowCount = make([]int32, n+1)
-	} else {
-		m.flowCount = m.flowCount[:n+1]
-	}
+	m.ops = slices.Grow(m.ops[:0], n)[:n]
+	m.addrs = slices.Grow(m.addrs[:0], n)[:n]
+	m.defCount = slices.Grow(m.defCount[:0], n+1)[:n+1]
+	m.flowCount = slices.Grow(m.flowCount[:0], n+1)[:n+1]
+	m.defCount[0] = [8]int32{}
 	m.flowCount[0] = 0
 
-	maxAddr := 0
+	maxAddr := int32(-1)
 	for i := range nodes {
-		if a := nodes[i].Inst.Addr; a > maxAddr {
-			maxAddr = a
-		}
-	}
-	if cap(m.addrIndex) < maxAddr+1 {
-		m.addrIndex = make([]int32, maxAddr+1)
-	} else {
-		m.addrIndex = m.addrIndex[:maxAddr+1]
-	}
-	for i := range m.addrIndex {
-		m.addrIndex[i] = -1
-	}
+		in := &insts[nodes[i].Idx]
+		m.ops[i], m.addrs[i] = in.Op, in.Addr
+		maxAddr = max(maxAddr, in.Addr)
+		m.opsSeen.Add(in.Op)
 
-	for i := range nodes {
-		nd := &nodes[i]
-		m.addrIndex[nd.Inst.Addr] = int32(i)
-		m.opsSeen.Add(nd.Inst.Op)
-		defs := nd.Defs
-		for f := 0; f < 8; f++ {
-			c := m.defCount[f][i]
-			if defs&(1<<f) != 0 {
-				c++
-			}
-			m.defCount[f][i+1] = c
+		row := m.defCount[i]
+		for defs := nodes[i].Defs; defs != 0; defs &= defs - 1 {
+			row[bits.TrailingZeros8(uint8(defs))]++
 		}
+		m.defCount[i+1] = row
+
 		fc := m.flowCount[i]
-		switch nd.Inst.Op {
+		switch in.Op {
 		case x86.BAD, x86.RET, x86.HLT:
 			fc++
 		}
 		m.flowCount[i+1] = fc
 	}
+
+	if need, old := int(maxAddr)+1, len(m.addrIndex); need > old {
+		m.addrIndex = slices.Grow(m.addrIndex, need-old)[:need]
+		for i := old; i < need; i++ {
+			m.addrIndex[i] = -1
+		}
+	}
+	for i, a := range m.addrs {
+		m.addrIndex[a] = int32(i)
+	}
 }
 
 // lookupAddr returns the sequence position of the instruction at frame
 // offset addr, if any.
-func (m *matcher) lookupAddr(addr int) (int, bool) {
-	if addr < 0 || addr >= len(m.addrIndex) {
+func (m *matcher) lookupAddr(addr int32) (int, bool) {
+	if addr < 0 || int(addr) >= len(m.addrIndex) {
 		return 0, false
 	}
 	if j := m.addrIndex[addr]; j >= 0 {
@@ -151,8 +150,9 @@ func (m *matcher) defsInRange(set ir.RegSet, lo, hi int) bool {
 	if hi <= lo+1 {
 		return false
 	}
-	for f := 0; f < 8; f++ {
-		if set&(1<<f) != 0 && m.defCount[f][hi]-m.defCount[f][lo+1] > 0 {
+	from, to := &m.defCount[lo+1], &m.defCount[hi]
+	for ; set != 0; set &= set - 1 {
+		if f := bits.TrailingZeros8(uint8(set)); to[f] > from[f] {
 			return true
 		}
 	}
@@ -211,8 +211,14 @@ func (m *matcher) search(ct *compiledTemplate, s, prev, bi int, matched *[]int) 
 		if m.steps++; m.steps > maxSearchSteps {
 			return false
 		}
-		m.binds[bi+1] = *b
-		if m.matchStmt(st, i, &m.binds[bi+1]) {
+		// The statement's opcode vocabulary rejects most nodes before
+		// the candidate binding is copied for matchStmt to extend.
+		ok := st.anyOp || st.vocab.Has(m.ops[i])
+		if ok {
+			m.binds[bi+1] = *b
+			ok = m.matchStmt(st, i, &m.binds[bi+1])
+		}
+		if ok {
 			// Bound live registers must not be clobbered, and control
 			// flow must not break, between the previous match and
 			// this one.
@@ -253,7 +259,7 @@ func (m *matcher) frameHasData(st *Stmt) bool {
 // indices assigned to earlier statements.
 func (m *matcher) matchStmt(st *cstmt, i int, nb *binding) bool {
 	n := &m.nodes[i]
-	in := &n.Inst
+	in := &m.insts[n.Idx]
 
 	opAllowed := func(op x86.Opcode) bool {
 		if len(st.Ops) == 0 {
@@ -366,7 +372,7 @@ func (m *matcher) matchStmt(st *cstmt, i int, nb *binding) bool {
 		return true
 
 	case SAdvance:
-		fam, delta, ok := n.Advance()
+		fam, delta, ok := n.Advance(in)
 		if !ok {
 			return false
 		}
@@ -429,8 +435,8 @@ func (m *matcher) matchStmt(st *cstmt, i int, nb *binding) bool {
 		return true
 
 	case SConst:
-		for _, a := range in.Args {
-			switch a.Kind {
+		for k := range in.Args {
+			switch a := &in.Args[k]; a.Kind {
 			case x86.KindImm:
 				for _, v := range st.Values {
 					if uint32(a.Imm) == v {

@@ -61,7 +61,7 @@ func (a *Asm) I(op Opcode, args ...Operand) *Asm {
 
 // Inst encodes in at the current position.
 func (a *Asm) Inst(in Inst) *Asm {
-	in.Addr = len(a.buf)
+	in.Addr = int32(len(a.buf))
 	enc, err := Encode(in)
 	if err != nil {
 		a.errs = append(a.errs, fmt.Errorf("at 0x%x: %w", len(a.buf), err))

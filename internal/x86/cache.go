@@ -104,17 +104,12 @@ func (c *DecodeCache) instAt(pos int) int32 {
 	if idx := c.idxAt[pos]; idx >= 0 {
 		return idx
 	}
-	in, err := Decode(c.b, pos)
-	if err != nil {
-		// Same undecodable-byte representation as Sweep: a single-byte
-		// BAD instruction carrying the raw byte.
-		in = Inst{
-			Addr: pos, Len: 1, Op: BAD,
-			Args: [3]Operand{ImmOp(int64(c.b[pos]))},
-		}
-	}
 	idx := int32(len(c.store))
-	c.store = append(c.store, in)
+	c.store = append(c.store, Inst{})
+	if in := &c.store[idx]; decodeInto(in, c.b, pos) != nil {
+		// Same undecodable-byte representation as Sweep.
+		*in = badInst(c.b, pos)
+	}
 	c.idxAt[pos] = idx
 	return idx
 }
@@ -136,10 +131,10 @@ func (c *DecodeCache) Sweep(start int) []Inst {
 	if len(c.canon) == 0 {
 		// First sweep: materialize the canonical chain and index it.
 		for pos := start; pos < len(c.b); {
-			in := c.store[c.instAt(pos)]
+			in := &c.store[c.instAt(pos)]
 			c.canonAt[pos] = int32(len(c.canon))
-			c.canon = append(c.canon, in)
-			pos += in.Len
+			c.canon = append(c.canon, *in)
+			pos += int(in.Len)
 		}
 		out = c.canon
 	} else if i := c.canonAt[start]; i >= 0 {
@@ -158,9 +153,9 @@ func (c *DecodeCache) Sweep(start int) []Inst {
 				out = append(out, c.canon[i:]...)
 				break
 			}
-			in := c.store[c.instAt(pos)]
-			out = append(out, in)
-			pos += in.Len
+			in := &c.store[c.instAt(pos)]
+			out = append(out, *in)
+			pos += int(in.Len)
 		}
 		c.used = append(c.used, out)
 	}
@@ -180,9 +175,10 @@ func (c *DecodeCache) CodeRatio() float64 {
 		return 0
 	}
 	good := 0
-	for _, in := range c.Sweep(0) {
-		if in.Op != BAD {
-			good += in.Len
+	insts := c.Sweep(0)
+	for i := range insts {
+		if insts[i].Op != BAD {
+			good += int(insts[i].Len)
 		}
 	}
 	return float64(good) / float64(len(c.b))

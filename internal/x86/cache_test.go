@@ -135,22 +135,69 @@ func TestDecodeCacheCodeRatio(t *testing.T) {
 	}
 }
 
-// TestThreadOrderAppendMatchesThreadOrder pins the appendable variant
-// to the original.
+// TestThreadOrderAppendMatchesThreadOrder pins the position-returning
+// variant, and ThreadOrder built on it, to a naive map-based walk. The
+// misaligned sweeps of one frame follow each other, so an address
+// table entry left over from the previous sweep would redirect a jump.
 func TestThreadOrderAppendMatchesThreadOrder(t *testing.T) {
 	for name, data := range corpora(t) {
-		insts := x86.SweepAll(data)
-		want := x86.ThreadOrder(insts)
-		got := x86.ThreadOrderAppend(nil, insts)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d insts, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if !instEqual(got[i], want[i]) {
-				t.Fatalf("%s inst %d: got %v want %v", name, i, got[i], want[i])
+		for off := 0; off < 4 && off < len(data); off++ {
+			insts := x86.Sweep(data, off)
+			want := naiveThreadOrder(insts)
+			got := x86.ThreadOrderAppend(nil, insts)
+			copies := x86.ThreadOrder(insts)
+			if len(got) != len(want) || len(copies) != len(want) {
+				t.Fatalf("%s@%d: %d positions, %d insts, want %d", name, off, len(got), len(copies), len(want))
+			}
+			for i := range want {
+				if !instEqual(insts[got[i]], want[i]) || !instEqual(copies[i], want[i]) {
+					t.Fatalf("%s@%d inst %d: got %v / %v want %v", name, off, i, insts[got[i]], copies[i], want[i])
+				}
 			}
 		}
 	}
+	// A jump into the middle of an instruction stops the walk, even
+	// when the previous call saw an instruction at that address.
+	nops := []byte{0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90}
+	x86.ThreadOrderAppend(nil, x86.SweepAll(nops))
+	midJump := append([]byte{0xb8, 0, 0, 0, 0, 0xeb, 0xfb}, nops...) // mov eax, 0; jmp 2
+	if got := x86.ThreadOrderAppend(nil, x86.SweepAll(midJump)); len(got) != 1 {
+		t.Fatalf("jump into an instruction threaded to positions %v, want [0]", got)
+	}
+}
+
+// naiveThreadOrder is the reference jmp-threading walk: follow
+// fall-through, thread unconditional jumps and in-frame calls, stop at
+// ret/hlt, an unresolved jump or a revisit.
+func naiveThreadOrder(insts []x86.Inst) []x86.Inst {
+	at := map[int32]int{}
+	for i := range insts {
+		at[insts[i].Addr] = i
+	}
+	var out []x86.Inst
+	seen := map[int]bool{}
+	for i := 0; i < len(insts) && !seen[i]; {
+		seen[i] = true
+		in := insts[i]
+		if in.Op == x86.JMP && in.HasTarget {
+			j, ok := at[in.Target]
+			if !ok {
+				break
+			}
+			i = j
+			continue
+		}
+		out = append(out, in)
+		if in.Op == x86.RET || in.Op == x86.HLT {
+			break
+		}
+		if j, ok := at[in.Target]; in.Op == x86.CALL && in.HasTarget && ok {
+			i = j
+			continue
+		}
+		i++
+	}
+	return out
 }
 
 // TestDecodeAllocs pins the allocation behavior of single-instruction
@@ -166,7 +213,7 @@ func TestDecodeAllocs(t *testing.T) {
 		if err != nil {
 			pos++
 		} else {
-			pos += in.Len
+			pos += int(in.Len)
 		}
 		if pos >= len(code)-16 {
 			pos = 0

@@ -41,7 +41,7 @@ type decoder struct {
 
 	opSize   int // 4 or 2 (0x66 prefix)
 	addrSize int // 4 or 2 (0x67 prefix)
-	seg      string
+	seg      Seg
 	rep      bool
 	repne    bool
 	lock     bool
@@ -196,25 +196,34 @@ func (d *decoder) modRM16(mod, rmBits byte, size int) (Operand, error) {
 // Decode decodes the single instruction at b[offset:], where offset is
 // also used as the instruction address for relative branch targets.
 func Decode(b []byte, offset int) (Inst, error) {
-	if offset < 0 || offset >= len(b) {
-		return Inst{}, ErrTruncated
-	}
-	d := &decoder{b: b, pos: offset, addr: offset, opSize: 4, addrSize: 4}
-	in, err := d.decodeOne()
-	if err != nil {
+	var in Inst
+	if err := decodeInto(&in, b, offset); err != nil {
 		return Inst{}, err
 	}
-	in.Addr = offset
-	in.Len = d.pos - offset
 	return in, nil
 }
 
-func (d *decoder) decodeOne() (Inst, error) {
+// decodeInto is Decode writing the instruction to *in, so that the
+// decode cache fills its store in place. *in is unspecified on error.
+func decodeInto(in *Inst, b []byte, offset int) error {
+	if offset < 0 || offset >= len(b) {
+		return ErrTruncated
+	}
+	d := decoder{b: b, pos: offset, addr: offset, opSize: 4, addrSize: 4}
+	if err := d.decodeOne(in); err != nil {
+		return err
+	}
+	in.Addr = int32(offset)
+	in.Len = uint8(d.pos - offset)
+	return nil
+}
+
+func (d *decoder) decodeOne(in *Inst) error {
 	// Consume prefixes (bounded so a run of 0x66 bytes cannot loop forever).
 	for i := 0; i < 14; i++ {
 		op, err := d.u8()
 		if err != nil {
-			return Inst{}, err
+			return err
 		}
 		switch op {
 		case 0x66:
@@ -228,30 +237,30 @@ func (d *decoder) decodeOne() (Inst, error) {
 		case 0xf3:
 			d.rep = true
 		case 0x26:
-			d.seg = "es"
+			d.seg = SegES
 		case 0x2e:
-			d.seg = "cs"
+			d.seg = SegCS
 		case 0x36:
-			d.seg = "ss"
+			d.seg = SegSS
 		case 0x3e:
-			d.seg = "ds"
+			d.seg = SegDS
 		case 0x64:
-			d.seg = "fs"
+			d.seg = SegFS
 		case 0x65:
-			d.seg = "gs"
+			d.seg = SegGS
 		default:
-			in, err := d.opcode(op)
-			if err != nil {
-				return Inst{}, err
+			var err error
+			if *in, err = d.opcode(op); err != nil {
+				return err
 			}
 			in.OpSize = uint8(d.opSize)
 			in.Rep = d.rep
 			in.Repne = d.repne
 			in.Lock = d.lock
-			return in, nil
+			return nil
 		}
 	}
-	return Inst{}, ErrBadOpcode
+	return ErrBadOpcode
 }
 
 func inst1(op Opcode, a Operand) Inst { return Inst{Op: op, Args: [3]Operand{a}} }
@@ -269,7 +278,7 @@ func (d *decoder) rel(op Opcode, cond Cond, size int) (Inst, error) {
 	}
 	in := Inst{Op: op, Cond: cond, HasTarget: true}
 	// d.pos is already past the displacement, i.e. at the next instruction.
-	in.Target = d.pos + int(disp)
+	in.Target = int32(d.pos) + int32(disp)
 	return in, nil
 }
 

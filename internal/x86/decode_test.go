@@ -54,7 +54,7 @@ func TestDecodeSimple(t *testing.T) {
 		if got := in.String(); got != c.want {
 			t.Errorf("Decode(% x) = %q, want %q", c.bytes, got, c.want)
 		}
-		if in.Len != c.len {
+		if int(in.Len) != c.len {
 			t.Errorf("Decode(% x) len = %d, want %d", c.bytes, in.Len, c.len)
 		}
 	}
@@ -244,7 +244,7 @@ func TestDecodePrefixes(t *testing.T) {
 		t.Errorf("rep stosb: %+v", in)
 	}
 	in = dec(t, 0x65, 0x8b, 0x00) // mov eax, gs:[eax]
-	if in.Args[1].Mem.Seg != "gs" {
+	if in.Args[1].Mem.Seg != SegGS {
 		t.Errorf("segment prefix: %+v", in)
 	}
 }
@@ -287,7 +287,7 @@ func TestSweepResync(t *testing.T) {
 	}
 	total := 0
 	for _, in := range insts {
-		total += in.Len
+		total += int(in.Len)
 	}
 	if total != len(b) {
 		t.Errorf("sweep covered %d bytes, want %d", total, len(b))

@@ -22,7 +22,7 @@ func appendModRM(b []byte, regField byte, rm Operand) ([]byte, error) {
 		return append(b, 0xc0|regField<<3|rm.Reg.Num()), nil
 	case KindMem:
 		m := rm.Mem
-		if m.Seg != "" {
+		if m.Seg != SegNone {
 			return nil, notEnc("segment overrides are emitted as prefixes, not in ModRM")
 		}
 		// Pure displacement: mod=00 rm=101 disp32.
@@ -544,9 +544,10 @@ func sizeOf(o Operand) int {
 func encodeBranch(b []byte, in Inst) ([]byte, error) {
 	pfx := len(b)
 	// relFor computes the displacement for a total instruction length of
-	// pfx+n bytes (prefixes included).
+	// pfx+n bytes (prefixes included), wrapping at 32 bits like the
+	// decoder's Target.
 	relFor := func(n int) int64 {
-		return int64(in.Target - (in.Addr + pfx + n))
+		return int64(in.Target - (in.Addr + int32(pfx+n)))
 	}
 	fitsRel8 := func(n int) bool {
 		r := relFor(n)

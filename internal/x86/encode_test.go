@@ -103,7 +103,7 @@ func TestAsmLabels(t *testing.T) {
 	if insts[1].Target != 0 {
 		t.Errorf("loop target = %d, want 0", insts[1].Target)
 	}
-	if insts[2].Target != len(b) {
+	if int(insts[2].Target) != len(b) {
 		t.Errorf("jmp target = %d, want %d", insts[2].Target, len(b))
 	}
 }
@@ -179,7 +179,7 @@ func TestEncodeDecodeCorpus(t *testing.T) {
 			t.Errorf("Decode(Encode(%v)) = % x: %v", want, enc, err)
 			continue
 		}
-		if got.Len != len(enc) {
+		if int(got.Len) != len(enc) {
 			t.Errorf("%v: decoded len %d, encoded %d bytes", want, got.Len, len(enc))
 		}
 		if !sameInst(got, want) {

@@ -15,16 +15,40 @@ const (
 	KindMem              // a memory reference
 )
 
+// Seg is a segment-override prefix. The zero value means none.
+type Seg uint8
+
+// Segment overrides, in prefix-byte order.
+const (
+	SegNone Seg = iota
+	SegES
+	SegCS
+	SegSS
+	SegDS
+	SegFS
+	SegGS
+)
+
+var segNames = [...]string{"", "es", "cs", "ss", "ds", "fs", "gs"}
+
+// String returns the assembler name of the segment ("" for none).
+func (s Seg) String() string {
+	if int(s) < len(segNames) {
+		return segNames[s]
+	}
+	return fmt.Sprintf("seg(%d)", uint8(s))
+}
+
 // MemRef is a decoded x86 effective address: [Base + Index*Scale + Disp],
-// accessing Size bytes. Base and Index may be RegNone. Seg is a textual
-// segment override ("" when none).
+// accessing Size bytes. Base and Index may be RegNone. Seg is the
+// segment override (SegNone when none).
 type MemRef struct {
+	Disp  int32
 	Base  Reg
 	Index Reg
 	Scale uint8 // 1, 2, 4 or 8; meaningful only when Index != RegNone
-	Disp  int32
 	Size  uint8 // access width in bytes: 1, 2 or 4 (0 for LEA-style address)
-	Seg   string
+	Seg   Seg
 }
 
 func (m MemRef) String() string {
@@ -37,8 +61,8 @@ func (m MemRef) String() string {
 	case 4:
 		b.WriteString("dword ptr ")
 	}
-	if m.Seg != "" {
-		b.WriteString(m.Seg)
+	if m.Seg != SegNone {
+		b.WriteString(m.Seg.String())
 		b.WriteByte(':')
 	}
 	b.WriteByte('[')
@@ -69,12 +93,13 @@ func (m MemRef) String() string {
 	return b.String()
 }
 
-// Operand is one instruction operand.
+// Operand is one instruction operand. Fields are ordered widest first
+// so that three operands pack into 72 bytes.
 type Operand struct {
-	Kind OperandKind
-	Reg  Reg
 	Imm  int64
 	Mem  MemRef
+	Kind OperandKind
+	Reg  Reg
 }
 
 // RegOp constructs a register operand.
@@ -104,21 +129,25 @@ func (o Operand) String() string {
 	return ""
 }
 
-// Inst is a single decoded instruction.
+// Inst is a single decoded instruction. It is a compact, pointer-free
+// record (88 bytes): sweeps hold thousands of them, and a pointer-free
+// element type keeps decode buffers out of the garbage collector's scan
+// and their copies free of write barriers.
 type Inst struct {
-	Addr int // byte offset of the instruction within the decoded frame
-	Len  int // encoded length in bytes
-
-	Op   Opcode
-	Cond Cond // condition for JCC / SETCC
-
 	// Args holds up to three operands. Unused slots have Kind == KindNone.
 	Args [3]Operand
 
+	Addr int32 // byte offset of the instruction within the decoded frame
+
 	// Target is the absolute frame offset targeted by a relative
-	// branch or call (Addr + Len + displacement). Valid only when
-	// HasTarget is true.
-	Target    int
+	// branch or call (Addr + Len + displacement, wrapping at 32 bits
+	// like the hardware's EIP). Valid only when HasTarget is true.
+	Target int32
+
+	Len  uint8 // encoded length in bytes (at most 15)
+	Op   Opcode
+	Cond Cond // condition for JCC / SETCC
+
 	HasTarget bool
 
 	// OpSize is the operand size in bytes implied by prefixes (4

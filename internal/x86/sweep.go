@@ -1,6 +1,9 @@
 package x86
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Sweep linearly disassembles b starting at offset start. Undecodable
 // bytes are represented as single-byte BAD instructions (with the raw
@@ -15,17 +18,21 @@ func Sweep(b []byte, start int) []Inst {
 	for pos := start; pos < len(b); {
 		in, err := Decode(b, pos)
 		if err != nil {
-			out = append(out, Inst{
-				Addr: pos, Len: 1, Op: BAD,
-				Args: [3]Operand{ImmOp(int64(b[pos]))},
-			})
-			pos++
-			continue
+			in = badInst(b, pos)
 		}
 		out = append(out, in)
-		pos += in.Len
+		pos += int(in.Len)
 	}
 	return out
+}
+
+// badInst is the single-byte BAD marker standing for the undecodable
+// byte at b[pos].
+func badInst(b []byte, pos int) Inst {
+	return Inst{
+		Addr: int32(pos), Len: 1, Op: BAD,
+		Args: [3]Operand{ImmOp(int64(b[pos]))},
+	}
 }
 
 // SweepAll disassembles the whole buffer from offset 0.
@@ -41,9 +48,9 @@ func CodeRatio(b []byte) float64 {
 	}
 	insts := SweepAll(b)
 	good := 0
-	for _, in := range insts {
-		if in.Op != BAD {
-			good += in.Len
+	for i := range insts {
+		if insts[i].Op != BAD {
+			good += int(insts[i].Len)
 		}
 	}
 	return float64(good) / float64(len(b))
@@ -52,7 +59,10 @@ func CodeRatio(b []byte) float64 {
 // threadScratch holds the per-call tables ThreadOrder needs; pooled so
 // the hot path does not reallocate them for every frame and offset.
 type threadScratch struct {
-	byAddr []int32 // instruction address -> index into insts; -1 = none
+	// byAddr maps instruction address -> index into insts (-1 = none).
+	// It only grows, and is all -1 between calls: each call clears
+	// just the entries it set.
+	byAddr []int32
 	seen   []bool
 }
 
@@ -70,13 +80,19 @@ var threadPool = sync.Pool{New: func() any { return new(threadScratch) }}
 // Each instruction is visited at most once; cycles (the loop back-edge)
 // terminate the walk.
 func ThreadOrder(insts []Inst) []Inst {
-	return ThreadOrderAppend(nil, insts)
+	idx := ThreadOrderAppend(nil, insts)
+	out := make([]Inst, len(idx))
+	for k, i := range idx {
+		out[k] = insts[i]
+	}
+	return out
 }
 
 // ThreadOrderAppend appends the threaded execution order of insts to
-// dst and returns the extended slice. It is ThreadOrder with
-// caller-managed result storage, for hot paths that reuse buffers.
-func ThreadOrderAppend(dst []Inst, insts []Inst) []Inst {
+// dst as positions into insts, and returns the extended slice. It is
+// ThreadOrder without copying a single instruction, for hot paths that
+// reuse buffers and keep reading the sweep in place.
+func ThreadOrderAppend(dst []int32, insts []Inst) []int32 {
 	if len(insts) == 0 {
 		return dst
 	}
@@ -84,12 +100,17 @@ func ThreadOrderAppend(dst []Inst, insts []Inst) []Inst {
 	// instruction of a sweep, but insts may be any order, so scan.
 	maxAddr := 0
 	for i := range insts {
-		if a := insts[i].Addr; a > maxAddr {
+		if a := int(insts[i].Addr); a > maxAddr {
 			maxAddr = a
 		}
 	}
 	ts := threadPool.Get().(*threadScratch)
-	ts.byAddr = resetIndex(ts.byAddr, maxAddr+1)
+	if old := len(ts.byAddr); maxAddr >= old {
+		ts.byAddr = slices.Grow(ts.byAddr, maxAddr+1-old)[:maxAddr+1]
+		for i := old; i <= maxAddr; i++ {
+			ts.byAddr[i] = -1
+		}
+	}
 	if cap(ts.seen) < len(insts) {
 		ts.seen = make([]bool, len(insts))
 	} else {
@@ -99,8 +120,8 @@ func ThreadOrderAppend(dst []Inst, insts []Inst) []Inst {
 	for i := range insts {
 		ts.byAddr[insts[i].Addr] = int32(i)
 	}
-	lookup := func(addr int) (int, bool) {
-		if addr < 0 || addr > maxAddr {
+	lookup := func(addr int32) (int, bool) {
+		if addr < 0 || int(addr) > maxAddr {
 			return 0, false
 		}
 		if j := ts.byAddr[addr]; j >= 0 {
@@ -112,7 +133,7 @@ func ThreadOrderAppend(dst []Inst, insts []Inst) []Inst {
 	i := 0
 	for i >= 0 && i < len(insts) && !ts.seen[i] {
 		ts.seen[i] = true
-		in := insts[i]
+		in := &insts[i]
 		if in.Op == JMP && in.HasTarget {
 			// Thread through the jump without emitting it.
 			j, ok := lookup(in.Target)
@@ -122,7 +143,7 @@ func ThreadOrderAppend(dst []Inst, insts []Inst) []Inst {
 			i = j
 			continue
 		}
-		dst = append(dst, in)
+		dst = append(dst, int32(i))
 		if in.Op == RET || in.Op == HLT {
 			break
 		}
@@ -135,6 +156,9 @@ func ThreadOrderAppend(dst []Inst, insts []Inst) []Inst {
 			}
 		}
 		i++
+	}
+	for i := range insts {
+		ts.byAddr[insts[i].Addr] = -1
 	}
 	threadPool.Put(ts)
 	return dst

@@ -57,7 +57,7 @@ func isBreaker(op Opcode) bool { return op == BAD || op == RET || op == HLT }
 // targets.
 func (c *DecodeCache) isConnector(in *Inst) bool {
 	return (in.Op == JMP || in.Op == CALL) && in.HasTarget &&
-		in.Target >= 0 && in.Target < len(c.b)
+		in.Target >= 0 && int(in.Target) < len(c.b)
 }
 
 // Viable reports whether any template in want could match a sweep
@@ -107,8 +107,8 @@ func (c *DecodeCache) Viable(off int, t *ViabilityTable, want uint64) bool {
 			}
 			return false
 		}
-		in := c.store[c.instAt(pos)]
-		if c.isConnector(&in) {
+		in := &c.store[c.instAt(pos)]
+		if c.isConnector(in) {
 			return true
 		}
 		if isBreaker(in.Op) {
@@ -119,7 +119,7 @@ func (c *DecodeCache) Viable(off int, t *ViabilityTable, want uint64) bool {
 				return true
 			}
 		}
-		pos += in.Len
+		pos += int(in.Len)
 	}
 	return false
 }

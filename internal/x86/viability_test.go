@@ -14,9 +14,9 @@ func naiveViable(b []byte, start int, t *ViabilityTable, want uint64) bool {
 	for pos := start; pos < len(b); {
 		op, l := BAD, 1
 		if in, err := Decode(b, pos); err == nil {
-			op, l = in.Op, in.Len
+			op, l = in.Op, int(in.Len)
 			if (op == JMP || op == CALL) && in.HasTarget &&
-				in.Target >= 0 && in.Target < len(b) {
+				in.Target >= 0 && int(in.Target) < len(b) {
 				return want != 0
 			}
 		}

@@ -6,8 +6,8 @@
 # Usage: scripts/bench.sh [bench-regex] [count]
 #        scripts/bench.sh compare OLD.json NEW.json
 #
-#   bench-regex  benchmarks to run (default: the paper-table and
-#                hot-path suite)
+#   bench-regex  benchmarks to run (default: the paper-table suite, the
+#                engine hot path and the decode/lift/match layers)
 #   count        -count passed to go test (default 5)
 #
 # The JSON is a list of {name, iterations, ns_per_op, bytes_per_op,
@@ -76,7 +76,7 @@ if [ "${1:-}" = "compare" ]; then
     exit 0
 fi
 
-REGEX="${1:-Table1|Table2|FalsePositiveScan|AnalyzeFrame|DecodeCached|EngineThroughput|EngineVerdictCache|Correlator}"
+REGEX="${1:-Table1|Table2|FalsePositiveScan|AnalyzeFrame|Decode$|DecodeCached|Lift|TemplateMatch|EngineThroughput|EngineVerdictCache|Correlator}"
 COUNT="${2:-5}"
 DATE="$(date -u +%Y%m%d)"
 BASE="BENCH_${DATE}"

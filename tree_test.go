@@ -194,8 +194,12 @@ func TestFederationTreeConvergesUnderFaults(t *testing.T) {
 			return st != nil && renderDerived(t, st) == want
 		})
 
-		// Every tier really exercised its faults and its compression.
+		// Every tier really exercised its faults and its compression. A
+		// node folds a push before its ack reaches the pusher, so the
+		// root can converge while the last acks are still in flight:
+		// wait for them rather than race them.
 		for s, e := range sensors {
+			waitUntil(t, "a sensor push acked by its mid", func() bool { return e.SinkStats().Push.Acked > 0 })
 			p := e.SinkStats().Push
 			if p.Acked == 0 || p.Compressed == 0 {
 				t.Errorf("shards=%d sensor %d: push stats %+v, want compressed acks", shards, s, p)
@@ -203,6 +207,10 @@ func TestFederationTreeConvergesUnderFaults(t *testing.T) {
 			e.Stop()
 		}
 		for i, agg := range midAggs {
+			waitUntil(t, "a mid relay acked upstream", func() bool {
+				pm, ok := agg.PushStats()
+				return !ok || pm.Acked > 0
+			})
 			pm, ok := agg.PushStats()
 			if !ok || pm.Acked == 0 || pm.Compressed == 0 {
 				t.Errorf("shards=%d mid %d: push stats %+v ok=%v, want compressed upstream acks", shards, i, pm, ok)
