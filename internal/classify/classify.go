@@ -13,7 +13,7 @@ package classify
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"semnids/internal/netpkt"
@@ -154,48 +154,110 @@ func (c *Classifier) MarkSuspicious(src netip.Addr, nowUS uint64) {
 	c.suspicious[src] = nowUS + c.cfg.SuspiciousTTLUS
 }
 
-// SourceState is one source's exportable classification state: its
-// suspicious-list expiry and the distinct dark-space addresses it has
-// touched. The dark set is the sub-threshold scan evidence — a
-// restarted sensor that re-imports it does not grant a slow scanner a
-// fresh start at zero.
+// SourceState is one source's classification-stage state, and the
+// durable evidence record for it (incident.ClassifierEvidence is this
+// type; the json tags are its wire form): the distinct dark-space
+// addresses it has touched — a sub-threshold scan count, kept as a set
+// so it merges idempotently — and its suspicious-list expiry.
+// Persisting it alongside the correlator's evidence means a restarted
+// or failed-over sensor does not grant a slow scanner a fresh start:
+// two touches before the restart plus one after still cross a
+// threshold of three.
 type SourceState struct {
-	Src               netip.Addr
-	SuspiciousUntilUS uint64
-	Dark              []netip.Addr
+	Src netip.Addr `json:"src"`
+
+	// SuspiciousUntilUS is the trace-time expiry of the source's
+	// suspicious mark (honeypot contact, completed scan, or alert);
+	// zero when the source is only part-way to a verdict.
+	SuspiciousUntilUS uint64 `json:"suspicious_until_us,omitempty"`
+
+	// Dark is the sorted set of distinct dark-space addresses the
+	// source has touched. Membership is the evidence; the scan count
+	// is its length.
+	Dark []netip.Addr `json:"dark,omitempty"`
 }
 
-// ExportState snapshots every source with classification state, in a
-// canonical order (sources by address, dark sets sorted) so the same
-// state always renders the same value.
+// StateBuffer is caller-owned storage for ExportStateTo. A snapshot
+// rendered into it stays valid until the buffer's next use; reusing
+// one buffer makes repeated snapshots allocation-free once it has
+// grown to the classifier's size.
+type StateBuffer struct {
+	susp   []srcExpiry
+	dark   []srcDark
+	addrs  []netip.Addr // backing storage of every state's Dark
+	states []SourceState
+}
+
+type srcExpiry struct {
+	src    netip.Addr
+	expiry uint64
+}
+
+type srcDark struct {
+	src, dark netip.Addr
+}
+
+// ExportState snapshots every source with classification state into
+// fresh storage: ExportStateTo a new buffer.
 func (c *Classifier) ExportState() []SourceState {
+	return c.ExportStateTo(new(StateBuffer))
+}
+
+// ExportStateTo snapshots every source with classification state in a
+// canonical order (sources by address, dark sets sorted), so the same
+// state always renders the same value. The classifier lock is held
+// only to copy (source, expiry) and (source, dark address) pairs into
+// b's flat buffers — Classify runs on every packet and must not wait
+// behind a sort — and the pairs are sorted and grouped after it is
+// released. The result and its Dark slices live in b.
+func (c *Classifier) ExportStateTo(b *StateBuffer) []SourceState {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	bySrc := make(map[netip.Addr]*SourceState, len(c.suspicious)+len(c.darkSeen))
-	get := func(src netip.Addr) *SourceState {
-		s := bySrc[src]
-		if s == nil {
-			s = &SourceState{Src: src}
-			bySrc[src] = s
-		}
-		return s
-	}
+	b.susp = b.susp[:0]
 	for src, expiry := range c.suspicious {
-		get(src).SuspiciousUntilUS = expiry
+		b.susp = append(b.susp, srcExpiry{src, expiry})
 	}
+	b.dark = b.dark[:0]
 	for src, seen := range c.darkSeen {
-		s := get(src)
 		for d := range seen {
-			s.Dark = append(s.Dark, d)
+			b.dark = append(b.dark, srcDark{src, d})
 		}
-		sort.Slice(s.Dark, func(i, j int) bool { return s.Dark[i].Less(s.Dark[j]) })
 	}
-	out := make([]SourceState, 0, len(bySrc))
-	for _, s := range bySrc {
-		out = append(out, *s)
+	c.mu.Unlock()
+
+	slices.SortFunc(b.susp, func(x, y srcExpiry) int { return x.src.Compare(y.src) })
+	slices.SortFunc(b.dark, func(x, y srcDark) int {
+		if c := x.src.Compare(y.src); c != 0 {
+			return c
+		}
+		return x.dark.Compare(y.dark)
+	})
+	b.addrs = b.addrs[:0]
+	for _, p := range b.dark {
+		b.addrs = append(b.addrs, p.dark)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Src.Less(out[j].Src) })
-	return out
+	b.states = b.states[:0]
+	susp, dark, addrs := b.susp, b.dark, b.addrs
+	for len(susp) > 0 || len(dark) > 0 {
+		st := SourceState{}
+		if len(dark) == 0 || len(susp) > 0 && susp[0].src.Compare(dark[0].src) <= 0 {
+			st.Src = susp[0].src
+		} else {
+			st.Src = dark[0].src
+		}
+		if len(susp) > 0 && susp[0].src == st.Src {
+			st.SuspiciousUntilUS = susp[0].expiry
+			susp = susp[1:]
+		}
+		n := 0
+		for n < len(dark) && dark[n].src == st.Src {
+			n++
+		}
+		if n > 0 {
+			st.Dark, addrs, dark = addrs[:n:n], addrs[n:], dark[n:]
+		}
+		b.states = append(b.states, st)
+	}
+	return b.states
 }
 
 // ImportState folds exported classification state back in: dark sets
@@ -231,6 +293,13 @@ func (c *Classifier) SuspiciousCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.suspicious)
+}
+
+// DarkCount reports how many sources hold dark-space scan state.
+func (c *Classifier) DarkCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.darkSeen)
 }
 
 // Stats returns (total packets seen, packets selected for analysis).

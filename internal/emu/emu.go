@@ -56,6 +56,10 @@ type Machine struct {
 	MaxSteps int
 
 	stack []uint32 // modeled separately from Mem; esp mirrors len
+
+	// stop is the storage exec's stop result points at, so stopping at
+	// a syscall or ret does not allocate.
+	stop Stop
 }
 
 // stackBase is the virtual ESP start; only relative motion matters.
@@ -320,7 +324,7 @@ func (m *Machine) runFrom(entry int) (Stop, error) {
 		next := m.EIP + int(in.Len)
 		stop, jump, err := m.exec(&in, next)
 		if err != nil {
-			return Stop{}, fmt.Errorf("at %#x (%v): %w", m.EIP, in, err)
+			return Stop{}, fmt.Errorf("at %#x (%s): %w", m.EIP, in.String(), err)
 		}
 		if stop != nil {
 			stop.EIP = m.EIP
@@ -661,17 +665,20 @@ func (m *Machine) exec(in *x86.Inst, next int) (stop *Stop, jump int, err error)
 	case x86.RET:
 		v, perr := m.pop()
 		if perr != nil {
-			return &Stop{Kind: StopRet}, -1, nil
+			m.stop = Stop{Kind: StopRet}
+			return &m.stop, -1, nil
 		}
 		return nil, int(v), nil
 
 	case x86.INT:
 		if a0.Imm == 0x80 {
-			return &Stop{Kind: StopSyscall, Sysnum: m.Reg(x86.EAX)}, -1, nil
+			m.stop = Stop{Kind: StopSyscall, Sysnum: m.Reg(x86.EAX)}
+			return &m.stop, -1, nil
 		}
 		return nil, -1, fmt.Errorf("%w: int %#x", ErrUnsupported, a0.Imm)
 	case x86.INT3, x86.INTO, x86.HLT:
-		return &Stop{Kind: StopRet}, -1, nil
+		m.stop = Stop{Kind: StopRet}
+		return &m.stop, -1, nil
 
 	case x86.SETCC:
 		v := uint32(0)
@@ -727,7 +734,7 @@ func (m *Machine) exec(in *x86.Inst, next int) (stop *Stop, jump int, err error)
 		m.stringStep(x86.EDI, 1)
 
 	default:
-		return nil, -1, fmt.Errorf("%w: %v", ErrUnsupported, in)
+		return nil, -1, fmt.Errorf("%w: %s", ErrUnsupported, in.String())
 	}
 	return nil, jump, nil
 }

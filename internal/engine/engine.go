@@ -386,6 +386,12 @@ func (e *Engine) registerTelemetry() {
 		reg.CounterFunc("semnids_engine_cache_rejected_total", "Verdict-cache inserts refused by TinyLFU admission.", e.cache.rejects)
 		reg.GaugeFunc("semnids_engine_cache_entries", "Verdict-cache occupancy.", func() int64 { return int64(e.cache.len()) })
 	}
+	reg.GaugeFunc(`semnids_classify_sources{kind="suspicious"}`, "Sources on the classifier's suspicious list.", func() int64 {
+		return int64(e.classifier.SuspiciousCount())
+	})
+	reg.GaugeFunc(`semnids_classify_sources{kind="dark"}`, "Sources holding dark-space scan state.", func() int64 {
+		return int64(e.classifier.DarkCount())
+	})
 	reg.GaugeFunc("semnids_engine_flows_active", "Tracked flows summed over shards.", func() int64 {
 		var n int64
 		for _, s := range e.shards {

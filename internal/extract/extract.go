@@ -13,6 +13,8 @@ package extract
 
 import (
 	"bytes"
+	"unicode"
+	"unicode/utf8"
 
 	"semnids/internal/x86"
 )
@@ -279,14 +281,16 @@ var textProtocolVerbs = [][]byte{
 
 // textProtocolCommand reports whether the payload starts with a known
 // text-protocol command (optionally preceded by an IMAP tag), and
-// returns the verb and argument region.
+// returns the verb and argument region. The first line's fields are
+// those of bytes.Fields, scanned in place: only the first two are ever
+// read, and a newline-free binary datagram must not be split whole.
 func textProtocolCommand(payload []byte) (verb, rest []byte, ok bool) {
 	line := payload
 	if i := bytes.IndexByte(line, '\n'); i >= 0 {
 		line = line[:i]
 	}
-	fields := bytes.Fields(line)
-	if len(fields) == 0 {
+	first, end := nextField(line, 0)
+	if first == nil {
 		return nil, nil, false
 	}
 	match := func(f []byte) bool {
@@ -297,15 +301,41 @@ func textProtocolCommand(payload []byte) (verb, rest []byte, ok bool) {
 		}
 		return false
 	}
-	switch {
-	case match(fields[0]):
-		return fields[0], payload[len(fields[0]):], true
-	case len(fields) >= 2 && match(fields[1]):
-		// IMAP tag: "a001 LOGIN ..."
-		off := bytes.Index(payload, fields[1])
-		return fields[1], payload[off+len(fields[1]):], true
+	if match(first) {
+		return first, payload[len(first):], true
+	}
+	// IMAP tag: "a001 LOGIN ..."
+	if second, _ := nextField(line, end); second != nil && match(second) {
+		off := bytes.Index(payload, second)
+		return second, payload[off+len(second):], true
 	}
 	return nil, nil, false
+}
+
+// nextField returns the first field of s[from:] as bytes.Fields splits
+// it — a maximal run of runes that are not unicode.IsSpace, invalid
+// UTF-8 counting as a non-space rune — and the offset just past it,
+// or nil when only spaces remain.
+func nextField(s []byte, from int) (field []byte, end int) {
+	start := -1
+	for i := from; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(s[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				return s[start:i:i], i
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start < 0 {
+		return nil, len(s)
+	}
+	return s[start:len(s):len(s)], len(s)
 }
 
 // extractTextCommand applies protocol knowledge to a command stream:

@@ -170,11 +170,14 @@ type Sink struct {
 
 	// Frame cache, sink goroutine only: the framed "src" record of
 	// every source in the previous snapshot, in address order, current
-	// as of ExportSince cursor gen; spare is the other half of the
-	// double buffer the next snapshot is merged into.
-	frames, spare []srcFrame
-	gen           uint64
-	enc           frameEncoder
+	// as of ExportSince cursor gen. The frames lie back to back in
+	// arena, so a checkpoint writes them with one call; spare and
+	// spareArena are the other half of the double buffer the next
+	// snapshot is merged into, so a warm cache reallocates nothing.
+	frames, spare     []srcFrame
+	arena, spareArena []byte
+	gen               uint64
+	enc               frameEncoder
 
 	// Writer state, sink goroutine only.
 	f        segmentFile
@@ -426,12 +429,8 @@ func (s *Sink) append(ex *incident.EvidenceExport) error {
 	t0 := time.Now()
 	err := s.writeFrames(func(bw *bufio.Writer) error {
 		return writeCheckpoint(bw, &s.enc, s.seq, ex, len(s.frames), func(bw *bufio.Writer) error {
-			for _, f := range s.frames {
-				if _, err := bw.Write(f.b); err != nil {
-					return err
-				}
-			}
-			return nil
+			_, err := bw.Write(s.arena)
+			return err
 		})
 	})
 	if err == nil {
@@ -440,65 +439,70 @@ func (s *Sink) append(ex *incident.EvidenceExport) error {
 	return err
 }
 
-// srcFrame is one cached framed "src" record.
+// srcFrame locates one cached framed "src" record in the frame arena.
 type srcFrame struct {
-	addr netip.Addr
-	b    []byte
+	addr     netip.Addr
+	off, end int
 }
 
 // exportAll adapts a full-snapshot Export to the checkpoint path:
-// the cursor never advances, so every record counts as changed.
+// the cursor never advances, so every record counts as changed. The
+// live slice is reused across calls (the sink is the only caller).
 func exportAll(export func() *incident.EvidenceExport) func(uint64) (*incident.EvidenceExport, []netip.Addr, uint64) {
+	var live []netip.Addr
 	return func(uint64) (*incident.EvidenceExport, []netip.Addr, uint64) {
 		ex := export()
 		if ex == nil {
 			return nil, nil, 0
 		}
-		live := make([]netip.Addr, len(ex.Sources))
+		live = live[:0]
 		for i := range ex.Sources {
-			live[i] = ex.Sources[i].Src
+			live = append(live, ex.Sources[i].Src)
 		}
 		return ex, live, 0
 	}
 }
 
 // refresh brings the frame cache to the snapshot: one merge over the
-// live set (address order) that re-encodes each changed record into
-// its address's old buffer, keeps the frames of unchanged sources,
-// and drops the frames of sources no longer live. changed must be in
-// live order, and every live source must be either changed or
-// cached — a cursor the snapshot honors guarantees both.
+// live set (address order) that encodes each changed record into the
+// next arena, copies the frames of unchanged sources over from the
+// current one, and drops the frames of sources no longer live.
+// changed must be in live order, and every live source must be either
+// changed or cached — a cursor the snapshot honors guarantees both.
 func (s *Sink) refresh(changed []incident.SourceEvidence, live []netip.Addr) error {
 	old, out := s.frames, s.spare[:0]
+	arena := s.spareArena[:0]
 	var encoded, reused uint64
 	for _, a := range live {
 		for len(old) > 0 && old[0].addr.Less(a) {
 			old = old[1:]
 		}
-		var b []byte
+		var cached []byte
 		if len(old) > 0 && old[0].addr == a {
-			b, old = old[0].b, old[1:]
+			cached, old = s.arena[old[0].off:old[0].end], old[1:]
 		}
+		off := len(arena)
 		switch {
 		case len(changed) > 0 && changed[0].Src == a:
 			var err error
-			if b, err = s.enc.appendFrame(b[:0], &wireRecord{Kind: kindSource, Src: &changed[0]}); err != nil {
+			if arena, err = s.enc.appendFrame(arena, &wireRecord{Kind: kindSource, Src: &changed[0]}); err != nil {
 				return err
 			}
 			changed = changed[1:]
 			encoded++
-		case b != nil:
+		case cached != nil:
+			arena = append(arena, cached...)
 			reused++
 		default:
 			return fmt.Errorf("fed: live source %v has neither a changed nor a cached record", a)
 		}
-		out = append(out, srcFrame{addr: a, b: b})
+		out = append(out, srcFrame{addr: a, off: off, end: len(arena)})
 	}
 	if len(changed) > 0 {
 		return fmt.Errorf("fed: changed source %v is not in the live set", changed[0].Src)
 	}
-	clear(s.frames)
 	s.frames, s.spare = out, s.frames[:0]
+	s.arena, s.spareArena = arena, s.arena[:0]
 	s.m.encoded.Add(encoded)
 	s.m.reused.Add(reused)
 	return nil

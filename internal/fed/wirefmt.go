@@ -24,7 +24,6 @@ package fed
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -103,32 +102,24 @@ var ErrNoCheckpoint = errors.New("fed: segment has no committed checkpoint")
 // frameEncoder frames records into reusable buffers. It is the one
 // framing implementation: WriteExport and the sink (headers, marks and
 // its per-source frame cache) all go through it, so a cached frame is
-// byte for byte what a fresh encode writes.
+// byte for byte what a fresh encode writes. Records are encoded by
+// appendRecord, never by encoding/json.
 type frameEncoder struct {
-	json bytes.Buffer
-	enc  *json.Encoder
-	out  []byte
+	doc []byte
+	out []byte
 }
 
 // appendFrame appends rec's frame — "<len> <json>\n" — to dst.
-// json.Encoder writes exactly json.Marshal's bytes (HTML escaping on)
-// plus the newline the frame ends with.
 func (fe *frameEncoder) appendFrame(dst []byte, rec *wireRecord) ([]byte, error) {
-	if fe.enc == nil {
-		fe.enc = json.NewEncoder(&fe.json)
-	}
-	fe.json.Reset()
-	if err := fe.enc.Encode(rec); err != nil {
-		return dst, err
-	}
-	data := fe.json.Bytes()
-	n := len(data) - 1
+	fe.doc = appendRecord(fe.doc[:0], rec)
+	n := len(fe.doc)
 	if n > MaxRecordBytes {
 		return dst, fmt.Errorf("fed: record of %d bytes exceeds the %d-byte wire bound", n, MaxRecordBytes)
 	}
 	dst = strconv.AppendInt(dst, int64(n), 10)
 	dst = append(dst, ' ')
-	return append(dst, data...), nil
+	dst = append(dst, fe.doc...)
+	return append(dst, '\n'), nil
 }
 
 // write frames one record onto w.
@@ -210,8 +201,8 @@ func headerFor(ex *incident.EvidenceExport) *header {
 // simply drop the ancestry plane).
 func writeCheckpoint(w *bufio.Writer, fe *frameEncoder, seq uint64, ex *incident.EvidenceExport,
 	count int, writeSources func(*bufio.Writer) error) error {
-	open := &checkpointMark{Seq: seq, Count: count, Cls: len(ex.Classifier), Lin: len(ex.Lineage), Sensors: ex.Sensors}
-	if err := fe.write(w, &wireRecord{Kind: kindCheckpoint, Ckpt: open}); err != nil {
+	open := checkpointMark{Seq: seq, Count: count, Cls: len(ex.Classifier), Lin: len(ex.Lineage), Sensors: ex.Sensors}
+	if err := fe.write(w, &wireRecord{Kind: kindCheckpoint, Ckpt: &open}); err != nil {
 		return err
 	}
 	if err := writeSources(w); err != nil {
@@ -227,8 +218,8 @@ func writeCheckpoint(w *bufio.Writer, fe *frameEncoder, seq uint64, ex *incident
 			return err
 		}
 	}
-	end := &checkpointMark{Seq: seq, Count: open.Count, Cls: open.Cls, Lin: open.Lin}
-	return fe.write(w, &wireRecord{Kind: kindCommit, End: end})
+	end := checkpointMark{Seq: seq, Count: open.Count, Cls: open.Cls, Lin: open.Lin}
+	return fe.write(w, &wireRecord{Kind: kindCommit, End: &end})
 }
 
 // WriteExport serializes an evidence export as one complete segment:

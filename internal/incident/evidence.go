@@ -1,13 +1,15 @@
 package incident
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
-	"maps"
 	"net/netip"
 	"slices"
 	"sort"
+	"strings"
 
+	"semnids/internal/classify"
 	"semnids/internal/core"
 	"semnids/internal/lineage"
 	"semnids/internal/telemetry"
@@ -121,26 +123,11 @@ type SourceEvidence struct {
 	Victims         []VictimEvidence `json:"victims,omitempty"`
 }
 
-// ClassifierEvidence is one source's classification-stage state: the
-// distinct dark-space addresses it has touched (a sub-threshold scan
-// count, as a set so it merges idempotently) and its suspicious-list
-// expiry. Persisting it alongside the correlator's evidence means a
-// restarted or failed-over sensor does not grant a slow scanner a
-// fresh start: two touches before the restart plus one after still
-// cross a threshold of three.
-type ClassifierEvidence struct {
-	Src netip.Addr `json:"src"`
-
-	// SuspiciousUntilUS is the trace-time expiry of the source's
-	// suspicious mark (honeypot contact, completed scan, or alert);
-	// zero when the source is only part-way to a verdict.
-	SuspiciousUntilUS uint64 `json:"suspicious_until_us,omitempty"`
-
-	// Dark is the sorted set of distinct dark-space addresses the
-	// source has touched. Membership is the evidence; the scan count
-	// is its length.
-	Dark []netip.Addr `json:"dark,omitempty"`
-}
+// ClassifierEvidence is one source's classification-stage state —
+// its distinct dark-space touches and suspicious-list expiry — as the
+// classifier exports it: the same type, so a checkpoint carries the
+// classifier's snapshot without a conversion.
+type ClassifierEvidence = classify.SourceState
 
 // EvidenceExport is one sensor's evidence snapshot (or the merge of
 // several sensors'): the correlation parameters the evidence was
@@ -221,84 +208,250 @@ func (c *Correlator) limits() EvidenceLimits {
 	}
 }
 
-// cloneLocked deep-copies the evidence for rendering outside the
-// correlator lock: map copies only — the expensive part of an export
-// (sorting, slice building) must not run under c.mu, which the event
-// apply path contends for. Called with mu held.
-func (s *sourceState) cloneLocked() *sourceState {
-	cp := &sourceState{
-		src:           s.src,
-		firstUS:       s.firstUS,
-		lastUS:        s.lastUS,
-		lastSeenUS:    s.lastSeenUS,
-		dests:         minKSet[netip.Addr]{m: maps.Clone(s.dests.m), less: s.dests.less},
-		alertTimes:    minKSet[alertKey]{m: maps.Clone(s.alertTimes.m), less: s.alertTimes.less},
-		exploitAt:     s.exploitAt,
-		severity:      s.severity,
-		templates:     maps.Clone(s.templates),
-		targetedBy:    make(map[core.Fingerprint][]attackRef, len(s.targetedBy)),
-		emitted:       minKSet[core.Fingerprint]{m: maps.Clone(s.emitted.m), less: s.emitted.less},
-		propagationAt: s.propagationAt,
-		victims:       minKSet[netip.Addr]{m: maps.Clone(s.victims.m), less: s.victims.less},
-		sensors:       maps.Clone(s.sensors),
-	}
-	for fp, refs := range s.targetedBy {
-		cp.targetedBy[fp] = append([]attackRef(nil), refs...)
-	}
-	return cp
-}
-
 // Export snapshots every live source's evidence under the given
-// sensor ID: ExportSince from generation 0. Finalized (completed)
-// incidents are rendered verdicts, not evidence, and are not
-// exported — export before finalization (or size
-// SourceIdleUS/MaxSources for the deployment) if every source must
-// survive a restart.
+// sensor ID into fresh storage: ExportSince from generation 0.
+// Finalized (completed) incidents are rendered verdicts, not
+// evidence, and are not exported — export before finalization (or
+// size SourceIdleUS/MaxSources for the deployment) if every source
+// must survive a restart.
 func (c *Correlator) Export(sensor string) *EvidenceExport {
 	ex, _, _ := c.ExportSince(sensor, 0)
 	return ex
 }
 
-// ExportSince is the incremental export behind Export and the durable
-// sink's checkpoints. The export's Sources hold only the sources
-// whose evidence changed after generation gen (every live source for
-// gen 0), sorted by address; live is the sorted address set of every
-// live source, and next is the cursor for the following call. A
-// caller that keeps the rendering of each source from earlier calls
-// reassembles a full Export from live, replacing exactly the returned
-// records. Cursors belong to the callers, so any number of them can
-// export concurrently with each other and with correlation. The lock
-// is held for the copies only — the changed sources' maps and, when
-// sources came or went, a merge of the address set — while rendering
-// and sorting happen outside it. The returned live slice is shared:
-// callers must not modify it.
+// ExportSince is ExportSinceTo a fresh buffer: the returned export
+// shares no storage with any other.
 func (c *Correlator) ExportSince(sensor string, gen uint64) (ex *EvidenceExport, live []netip.Addr, next uint64) {
+	return c.ExportSinceTo(new(ExportBuffer), sensor, gen)
+}
+
+// ExportSinceTo is the incremental export behind Export and the
+// durable sink's checkpoints. The export's Sources hold only the
+// sources whose evidence changed after generation gen (every live
+// source for gen 0), sorted by address; live is the sorted address
+// set of every live source, and next is the cursor for the following
+// call. A caller that keeps the rendering of each source from earlier
+// calls reassembles a full Export from live, replacing exactly the
+// returned records. Cursors belong to the callers, so any number of
+// them can export concurrently with each other and with correlation.
+//
+// The lock is held for a flat copy only: the changed sources' scalars
+// and map entries are appended into b's storage (and, when sources
+// came or went, the address set is merged), while sorting, stage
+// derivation and de-duplication happen after it is released. The
+// export lives in b until b's next use, so a caller that reuses one
+// buffer exports without allocating once it has grown to the
+// evidence's size. The returned live slice is shared: callers must
+// not modify it.
+func (c *Correlator) ExportSinceTo(b *ExportBuffer, sensor string, gen uint64) (ex *EvidenceExport, live []netip.Addr, next uint64) {
+	b.reset()
 	c.mu.Lock()
-	var clones []*sourceState
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		s := el.Value.(*sourceState)
 		if s.gen <= gen {
 			break
 		}
-		clones = append(clones, s.cloneLocked())
+		b.copySource(s, sensor, true)
 	}
 	live = c.liveAddrs()
 	c.gen++
 	next = c.gen
 	c.mu.Unlock()
 
-	slices.SortFunc(clones, func(a, b *sourceState) int { return a.src.Compare(b.src) })
-	ex = &EvidenceExport{
-		Sensors:         []string{sensor},
+	b.sensor[0] = sensor
+	return b.render(c, b.sensor[:]), live, next
+}
+
+// ExportBuffer is caller-owned storage an export renders into. Every
+// record's slices are windows of a few flat arenas, so reusing a
+// buffer reuses all of them; a rendering stays valid until the
+// buffer's next use.
+type ExportBuffer struct {
+	ex     EvidenceExport
+	sensor [1]string
+
+	// raw holds the copied records in recency order; sources is the
+	// address-ordered result, through the permutation perm.
+	raw, sources []SourceEvidence
+	perm         []int32
+
+	strs    []string // sensors and templates
+	dests   []DestEvidence
+	alerts  []AlertEvidence
+	fas     []FingerprintAttackers
+	refs    []AttackerRef
+	spans   []FingerprintSpan
+	victims []VictimEvidence
+	firsts  []uint64 // destination first-contact times, for the stage
+}
+
+// reset empties the buffer for the next export, keeping its storage.
+func (b *ExportBuffer) reset() {
+	b.raw = b.raw[:0]
+	b.strs, b.dests, b.alerts, b.fas = b.strs[:0], b.dests[:0], b.alerts[:0], b.fas[:0]
+	b.refs, b.spans, b.victims = b.refs[:0], b.spans[:0], b.victims[:0]
+}
+
+// window returns the elements appended to arena since index from, as
+// a slice that cannot grow into the next record's window (nil when
+// empty). A window keeps pointing at the array it was cut from even
+// if the arena grows later, so records copied before a growth stay
+// intact.
+func window[T any](arena []T, from int) []T {
+	if len(arena) == from {
+		return nil
+	}
+	return arena[from:len(arena):len(arena)]
+}
+
+// copySource appends one source's evidence to the buffer unsorted: the
+// part of an export that runs under the correlator lock. stamp adds
+// the exporting sensor to the provenance set. Called with mu held.
+func (b *ExportBuffer) copySource(s *sourceState, sensor string, stamp bool) {
+	rec := SourceEvidence{
+		Src:             s.src,
+		FirstUS:         s.firstUS,
+		LastUS:          s.lastUS,
+		LastSeenUS:      s.lastSeenUS,
+		ExploitAtUS:     s.exploitAt,
+		Severity:        s.severity,
+		PropagationAtUS: s.propagationAt,
+	}
+	n := len(b.strs)
+	if stamp {
+		b.strs = append(b.strs, sensor)
+	}
+	for sn := range s.sensors {
+		b.strs = append(b.strs, sn)
+	}
+	rec.Sensors = window(b.strs, n)
+
+	n = len(b.dests)
+	for k, sp := range s.dests.m {
+		b.dests = append(b.dests, DestEvidence{Addr: k, FirstUS: sp.first, LastUS: sp.last})
+	}
+	rec.Dests = window(b.dests, n)
+
+	n = len(b.alerts)
+	for k := range s.alertTimes.m {
+		b.alerts = append(b.alerts, AlertEvidence{TsUS: k.tsUS, Dst: k.dst, Template: k.template})
+	}
+	rec.Alerts = window(b.alerts, n)
+
+	n = len(b.strs)
+	for t := range s.templates {
+		b.strs = append(b.strs, t)
+	}
+	rec.Templates = window(b.strs, n)
+
+	n = len(b.fas)
+	for fp, refs := range s.targetedBy {
+		r := len(b.refs)
+		for _, ref := range refs {
+			b.refs = append(b.refs, AttackerRef{Attacker: ref.attacker, TsUS: ref.tsUS})
+		}
+		fa := FingerprintAttackers{Fingerprint: fp, Refs: window(b.refs, r)}
+		if fa.Refs == nil {
+			fa.Refs = []AttackerRef{} // "refs" is not omitempty: [] on the wire, never null
+		}
+		b.fas = append(b.fas, fa)
+	}
+	rec.TargetedBy = window(b.fas, n)
+
+	n = len(b.spans)
+	for fp, sp := range s.emitted.m {
+		b.spans = append(b.spans, FingerprintSpan{Fingerprint: fp, FirstUS: sp.first, LastUS: sp.last})
+	}
+	rec.Emitted = window(b.spans, n)
+
+	n = len(b.victims)
+	for v, sp := range s.victims.m {
+		b.victims = append(b.victims, VictimEvidence{Addr: v, EchoUS: sp.first})
+	}
+	rec.Victims = window(b.victims, n)
+
+	b.raw = append(b.raw, rec)
+}
+
+// render finishes the copied records outside the lock — each slice
+// sorted under the total orders the in-memory caps use, sensors
+// de-duplicated, stages derived — orders them by address and returns
+// the export.
+func (b *ExportBuffer) render(c *Correlator, sensors []string) *EvidenceExport {
+	b.perm = b.perm[:0]
+	for i := range b.raw {
+		b.finish(&b.raw[i], c.cfg.WindowUS, c.cfg.FanoutThreshold)
+		b.perm = append(b.perm, int32(i))
+	}
+	slices.SortFunc(b.perm, func(i, j int32) int { return b.raw[i].Src.Compare(b.raw[j].Src) })
+	b.sources = b.sources[:0]
+	for _, i := range b.perm {
+		b.sources = append(b.sources, b.raw[i])
+	}
+	b.ex = EvidenceExport{
+		Sensors:         sensors,
 		WindowUS:        c.cfg.WindowUS,
 		FanoutThreshold: c.cfg.FanoutThreshold,
 		Limits:          c.limits(),
-		Sources:         make([]SourceEvidence, 0, len(clones)),
+		Sources:         b.sources,
 	}
-	for _, s := range clones {
-		ex.Sources = append(ex.Sources, s.export(sensor, c.cfg.WindowUS, c.cfg.FanoutThreshold))
+	return &b.ex
+}
+
+// finish sorts one copied record into its canonical form and derives
+// its stage.
+func (b *ExportBuffer) finish(rec *SourceEvidence, windowUS uint64, threshold int) {
+	slices.Sort(rec.Sensors)
+	rec.Sensors = slices.Compact(rec.Sensors)
+	slices.SortFunc(rec.Dests, func(x, y DestEvidence) int { return x.Addr.Compare(y.Addr) })
+	slices.SortFunc(rec.Alerts, func(x, y AlertEvidence) int {
+		if x.TsUS != y.TsUS {
+			return cmp.Compare(x.TsUS, y.TsUS)
+		}
+		if c := x.Dst.Compare(y.Dst); c != 0 {
+			return c
+		}
+		return strings.Compare(x.Template, y.Template)
+	})
+	slices.Sort(rec.Templates)
+	for i := range rec.TargetedBy {
+		slices.SortFunc(rec.TargetedBy[i].Refs, func(x, y AttackerRef) int { return x.Attacker.Compare(y.Attacker) })
 	}
-	return ex, live, next
+	slices.SortFunc(rec.TargetedBy, func(x, y FingerprintAttackers) int {
+		return compareFingerprint(x.Fingerprint, y.Fingerprint)
+	})
+	slices.SortFunc(rec.Emitted, func(x, y FingerprintSpan) int {
+		return compareFingerprint(x.Fingerprint, y.Fingerprint)
+	})
+	slices.SortFunc(rec.Victims, func(x, y VictimEvidence) int { return x.Addr.Compare(y.Addr) })
+
+	st := StageNone
+	switch {
+	case rec.PropagationAtUS > 0:
+		st = StagePropagation
+	case rec.ExploitAtUS > 0:
+		st = StageExploit
+	default:
+		b.firsts = b.firsts[:0]
+		for _, d := range rec.Dests {
+			b.firsts = append(b.firsts, d.FirstUS)
+		}
+		if reconAt(b.firsts, windowUS, threshold) > 0 {
+			st = StageRecon
+		}
+	}
+	rec.Stage = st.String()
+}
+
+// compareFingerprint is lessFingerprint's three-way form.
+func compareFingerprint(a, b core.Fingerprint) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.B, b.B); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.N, b.N)
 }
 
 // liveAddrs returns the sorted live source addresses, merging the
@@ -337,72 +490,6 @@ func (c *Correlator) liveAddrs() []netip.Addr {
 	}
 	c.live, c.liveAdded, c.liveGone = out, c.liveAdded[:0], false
 	return out
-}
-
-// export renders one source's evidence as a SourceEvidence value.
-func (s *sourceState) export(sensor string, windowUS uint64, threshold int) SourceEvidence {
-	ev := SourceEvidence{
-		Src:             s.src,
-		Stage:           s.stage(windowUS, threshold).String(),
-		FirstUS:         s.firstUS,
-		LastUS:          s.lastUS,
-		LastSeenUS:      s.lastSeenUS,
-		ExploitAtUS:     s.exploitAt,
-		Severity:        s.severity,
-		PropagationAtUS: s.propagationAt,
-	}
-	seen := map[string]bool{sensor: true}
-	ev.Sensors = append(ev.Sensors, sensor)
-	for sn := range s.sensors {
-		if !seen[sn] {
-			seen[sn] = true
-			ev.Sensors = append(ev.Sensors, sn)
-		}
-	}
-	sort.Strings(ev.Sensors)
-
-	for k, sp := range s.dests.m {
-		ev.Dests = append(ev.Dests, DestEvidence{Addr: k, FirstUS: sp.first, LastUS: sp.last})
-	}
-	sort.Slice(ev.Dests, func(i, j int) bool { return ev.Dests[i].Addr.Less(ev.Dests[j].Addr) })
-
-	for k := range s.alertTimes.m {
-		ev.Alerts = append(ev.Alerts, AlertEvidence{TsUS: k.tsUS, Dst: k.dst, Template: k.template})
-	}
-	sort.Slice(ev.Alerts, func(i, j int) bool {
-		a, b := ev.Alerts[i], ev.Alerts[j]
-		return lessAlertKey(alertKey{a.TsUS, a.Dst, a.Template}, alertKey{b.TsUS, b.Dst, b.Template})
-	})
-
-	for t := range s.templates {
-		ev.Templates = append(ev.Templates, t)
-	}
-	sort.Strings(ev.Templates)
-
-	for fp, refs := range s.targetedBy {
-		fa := FingerprintAttackers{Fingerprint: fp, Refs: make([]AttackerRef, 0, len(refs))}
-		for _, r := range refs {
-			fa.Refs = append(fa.Refs, AttackerRef{Attacker: r.attacker, TsUS: r.tsUS})
-		}
-		sort.Slice(fa.Refs, func(i, j int) bool { return fa.Refs[i].Attacker.Less(fa.Refs[j].Attacker) })
-		ev.TargetedBy = append(ev.TargetedBy, fa)
-	}
-	sort.Slice(ev.TargetedBy, func(i, j int) bool {
-		return lessFingerprint(ev.TargetedBy[i].Fingerprint, ev.TargetedBy[j].Fingerprint)
-	})
-
-	for fp, sp := range s.emitted.m {
-		ev.Emitted = append(ev.Emitted, FingerprintSpan{Fingerprint: fp, FirstUS: sp.first, LastUS: sp.last})
-	}
-	sort.Slice(ev.Emitted, func(i, j int) bool {
-		return lessFingerprint(ev.Emitted[i].Fingerprint, ev.Emitted[j].Fingerprint)
-	})
-
-	for v, sp := range s.victims.m {
-		ev.Victims = append(ev.Victims, VictimEvidence{Addr: v, EchoUS: sp.first})
-	}
-	sort.Slice(ev.Victims, func(i, j int) bool { return ev.Victims[i].Addr.Less(ev.Victims[j].Addr) })
-	return ev
 }
 
 // compatible checks an export was produced under this correlator's
@@ -629,26 +716,13 @@ func MergeExports(a, b *EvidenceExport) (*EvidenceExport, error) {
 // exportMerged renders a merge correlator's state without stamping a
 // local sensor: provenance comes entirely from the merged records.
 func (c *Correlator) exportMerged() *EvidenceExport {
+	b := new(ExportBuffer)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	ex := &EvidenceExport{
-		WindowUS:        c.cfg.WindowUS,
-		FanoutThreshold: c.cfg.FanoutThreshold,
-		Limits:          c.limits(),
-		Sources:         make([]SourceEvidence, 0, len(c.sources)),
-	}
 	for _, s := range c.sources {
-		rec := s.export("", c.cfg.WindowUS, c.cfg.FanoutThreshold)
-		// Drop the placeholder empty sensor; keep only real provenance.
-		rec.Sensors = rec.Sensors[:0]
-		for sn := range s.sensors {
-			rec.Sensors = append(rec.Sensors, sn)
-		}
-		sort.Strings(rec.Sensors)
-		ex.Sources = append(ex.Sources, rec)
+		b.copySource(s, "", false)
 	}
-	sort.Slice(ex.Sources, func(i, j int) bool { return ex.Sources[i].Src.Less(ex.Sources[j].Src) })
-	return ex
+	c.mu.Unlock()
+	return b.render(c, nil)
 }
 
 func unionSensors(a, b []string) []string {

@@ -29,6 +29,7 @@ import (
 	"container/list"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
@@ -390,7 +391,16 @@ func (s *sourceState) reconAt(windowUS uint64, threshold int) uint64 {
 	for _, sp := range s.dests.m {
 		ts = append(ts, sp.first)
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	return reconAt(ts, windowUS, threshold)
+}
+
+// reconAt is the fan-out derivation over each destination's first
+// contact time (sorted in place).
+func reconAt(ts []uint64, windowUS uint64, threshold int) uint64 {
+	if threshold <= 0 || len(ts) < threshold {
+		return 0
+	}
+	slices.Sort(ts)
 	// Each destination contributes its first contact; the window
 	// [ts[i]-window, ts[i]] holds the fan-out count ending at ts[i].
 	lo := 0

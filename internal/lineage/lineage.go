@@ -25,6 +25,7 @@ package lineage
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -273,18 +274,45 @@ func (s *Store) fold(o *Observation) {
 }
 
 // Export snapshots the store as a canonical observation list, sorted
-// by witness order.
+// by witness order, into fresh storage: ExportTo a new buffer.
 func (s *Store) Export() []Observation {
+	return s.ExportTo(new(ExportBuffer))
+}
+
+// ExportBuffer is caller-owned storage for ExportTo; a snapshot stays
+// valid until the buffer's next use, and reusing one buffer makes
+// repeated snapshots allocation-free once it has grown.
+type ExportBuffer struct {
+	obs     []Observation
+	sensors []string
+}
+
+// ExportTo is Export into b: the observations are copied under the
+// store lock and sorted after it is released.
+func (s *Store) ExportTo(b *ExportBuffer) []Observation {
+	b.obs, b.sensors = b.obs[:0], b.sensors[:0]
 	s.mu.Lock()
-	out := make([]Observation, 0, len(s.obs))
 	for _, o := range s.obs {
 		cp := *o
-		cp.Sensors = append([]string(nil), o.Sensors...)
-		out = append(out, cp)
+		n := len(b.sensors)
+		b.sensors = append(b.sensors, o.Sensors...)
+		cp.Sensors = nil
+		if len(b.sensors) > n {
+			cp.Sensors = b.sensors[n:len(b.sensors):len(b.sensors)]
+		}
+		b.obs = append(b.obs, cp)
 	}
 	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return witnessLess(&out[i], &out[j]) })
-	return out
+	slices.SortFunc(b.obs, func(x, y Observation) int {
+		if witnessLess(&x, &y) {
+			return -1
+		}
+		if witnessLess(&y, &x) {
+			return 1
+		}
+		return 0
+	})
+	return b.obs
 }
 
 // Len reports distinct tracked payloads.

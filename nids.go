@@ -595,13 +595,17 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 					cfg.IncidentExportDir, err)
 			}
 		}
+		ckpt := new(evidenceBuffer) // the sink goroutine's own
+		exportSince := func(gen uint64) (*EvidenceExport, []netip.Addr, uint64) {
+			return e.exportEvidenceTo(ckpt, gen)
+		}
 		sink, err := fed.OpenSink(fed.SinkConfig{
 			Dir:             cfg.IncidentExportDir,
 			RotateBytes:     cfg.IncidentExportRotateBytes,
 			RotateEvery:     cfg.IncidentExportRotateEvery,
 			CheckpointEvery: cfg.IncidentCheckpointEvery,
 			KeepSegments:    cfg.IncidentKeepSegments,
-			ExportSince:     e.exportEvidenceSince,
+			ExportSince:     exportSince,
 			Telemetry:       tel,
 		})
 		if err != nil {
@@ -870,31 +874,34 @@ func (e *Engine) IncidentStats() IncidentMetrics {
 	return e.corr.Metrics()
 }
 
-// exportEvidence snapshots the full durable state of this sensor: the
-// correlator's evidence plus the classifier's per-source state
-// (sub-threshold dark-space scan sets, suspicious marks), so a
-// restart restores selection behavior along with attacker evidence.
+// exportEvidence snapshots the full durable state of this sensor into
+// fresh storage: the correlator's evidence plus the classifier's
+// per-source state (sub-threshold dark-space scan sets, suspicious
+// marks), so a restart restores selection behavior along with attacker
+// evidence.
 func (e *Engine) exportEvidence() *EvidenceExport {
-	ex, _, _ := e.exportEvidenceSince(0)
+	ex, _, _ := e.exportEvidenceTo(new(evidenceBuffer), 0)
 	return ex
 }
 
-// exportEvidenceSince is exportEvidence restricted to the correlator
+// evidenceBuffer is the storage one evidence snapshot renders into,
+// one buffer per plane.
+type evidenceBuffer struct {
+	corr incident.ExportBuffer
+	cls  classify.StateBuffer
+	lin  lineage.ExportBuffer
+}
+
+// exportEvidenceTo is exportEvidence restricted to the correlator
 // sources changed since generation gen (see
-// incident.Correlator.ExportSince): the sink's incremental checkpoint
-// snapshot. The classifier and lineage planes are small and always
-// exported whole.
-func (e *Engine) exportEvidenceSince(gen uint64) (*EvidenceExport, []netip.Addr, uint64) {
-	ex, live, next := e.corr.ExportSince(e.sensor, gen)
-	for _, st := range e.inner.Classifier().ExportState() {
-		ex.Classifier = append(ex.Classifier, incident.ClassifierEvidence{
-			Src:               st.Src,
-			SuspiciousUntilUS: st.SuspiciousUntilUS,
-			Dark:              st.Dark,
-		})
-	}
+// incident.Correlator.ExportSinceTo), rendered into b: the sink's
+// incremental checkpoint snapshot, which reuses one buffer. The
+// classifier and lineage planes are small and always exported whole.
+func (e *Engine) exportEvidenceTo(b *evidenceBuffer, gen uint64) (*EvidenceExport, []netip.Addr, uint64) {
+	ex, live, next := e.corr.ExportSinceTo(&b.corr, e.sensor, gen)
+	ex.Classifier = e.inner.Classifier().ExportStateTo(&b.cls)
 	if e.lin != nil {
-		ex.Lineage = e.lin.Export()
+		ex.Lineage = e.lin.ExportTo(&b.lin)
 	}
 	return ex, live, next
 }
@@ -945,18 +952,7 @@ func (e *Engine) importEvidence(ex *EvidenceExport) error {
 			cl.MarkSuspicious(rec.Src, rec.LastSeenUS)
 		}
 	}
-	if len(ex.Classifier) > 0 {
-		states := make([]classify.SourceState, 0, len(ex.Classifier))
-		for i := range ex.Classifier {
-			rec := &ex.Classifier[i]
-			states = append(states, classify.SourceState{
-				Src:               rec.Src,
-				SuspiciousUntilUS: rec.SuspiciousUntilUS,
-				Dark:              rec.Dark,
-			})
-		}
-		cl.ImportState(states)
-	}
+	cl.ImportState(ex.Classifier)
 	return nil
 }
 
